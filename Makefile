@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench-json bench-diff obs-smoke trace-smoke
+.PHONY: check vet build test race bench-smoke bench-json bench-diff bench-pairs obs-smoke trace-smoke
 
 ## check: everything CI runs — vet, build, tests, race detector, bench smoke,
 ## the observability pipeline smoke (lfptop + Prometheus export), and the
@@ -30,10 +30,15 @@ race:
 ## regressions fail fast; the steer micro-benches (table pick hot path and
 ## controller observe loop) ride along in internal/steer; no full -bench=.
 ## run needed. The sockmap micro-benches (established-flow hit, full-demux
-## miss, socket-to-socket splice) ride along in internal/kernel.
+## miss, socket-to-socket splice) ride along in internal/kernel. The
+## benchmarks where bytes dominate ride along too: the GRO on/off pairs at
+## 128 B and at one MSS (BenchmarkRealLinuxGRO*), the checksum at 20/64/1448
+## B and the 16 x 1448 B GSO split (internal/packet), and the test pinning
+## allocations per flushed supersegment (the GRO hold grows at most once).
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkRealForward|BenchmarkRealLinuxFPFastPath' -benchtime 100x -benchmem .
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/ebpf/ ./internal/netdev/ ./internal/kernel/ ./internal/steer/
+	$(GO) test -run xxx -bench 'BenchmarkRealForward|BenchmarkRealLinuxFPFastPath|BenchmarkRealLinuxGRO' -benchtime 100x -benchmem .
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/ebpf/ ./internal/netdev/ ./internal/kernel/ ./internal/steer/ ./internal/packet/
+	$(GO) test -run TestGROSupersegmentAllocs -count 1 ./internal/kernel/
 
 ## obs-smoke: one lfptop frame (drop reasons + ring buffer + stage latency,
 ## with the Prometheus snapshot appended) and a linuxfpd run with -metrics,
@@ -97,3 +102,26 @@ bench-diff:
 		$(BENCH_TMP)/benchdiff -old BENCH_$$b.json -new $(BENCH_TMP)/BENCH_$$b.json || exit 1; \
 	done
 	@rm -rf $(BENCH_TMP)
+
+## bench-pairs: the paired comparison bench/README.md prescribes for a claimed
+## gain, in one command: `make bench-pairs BASE=<rev> [PAIRS=10]
+## [WORKLOAD=<name>] [BENCH_SECONDS=10]`. BASE is exported (git archive, so no
+## worktree is left registered in .git) into .bench_build/pairs/base; both
+## sides are built by their own bench/run.sh; seeds 1..PAIRS run in A B B A
+## order (A = BASE, B = this tree; all five workloads unless WORKLOAD names
+## one), each side into its own -out; -compare then judges B against A with
+## BENCHMARK.json's bounds and fails on any row that is worse.
+PAIRS ?= 10
+BENCH_SECONDS ?= 10
+PAIRS_DIR := .bench_build/pairs
+bench-pairs:
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [PAIRS=10] [WORKLOAD=<name>] [BENCH_SECONDS=10]"; exit 2; }
+	rm -rf $(PAIRS_DIR) && mkdir -p $(PAIRS_DIR)/base $(PAIRS_DIR)/a $(PAIRS_DIR)/b
+	git archive $(BASE) | tar -x -C $(PAIRS_DIR)/base
+	@set -e; out=$$PWD/$(PAIRS_DIR); \
+	side() { echo "seed $$3: $$1"; (cd $$1 && bash bench/run.sh $(if $(WORKLOAD),--workload $(WORKLOAD)) --seed $$3 --seconds $(BENCH_SECONDS) -out $$2 > /dev/null); }; \
+	for s in $$(seq 1 $(PAIRS)); do \
+		if [ $$((s % 2)) = 1 ]; then side $$out/base $$out/a $$s; side . $$out/b $$s; \
+		else side . $$out/b $$s; side $$out/base $$out/a $$s; fi; \
+	done; \
+	bash bench/run.sh -compare $$out/a/runs.jsonl $$out/b/runs.jsonl

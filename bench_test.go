@@ -232,11 +232,11 @@ func BenchmarkRealLinuxFPFastPathParallel(b *testing.B) {
 // Linux slow path in NAPI bursts with GRO on or off — the real-execution
 // A/B behind the modelcycle numbers in BENCH_gro.json. Templates carry
 // advancing seq/IP-ID so every burst is one mergeable train.
-func benchLinuxGRO(b *testing.B, gro bool, batchSize int) {
+func benchLinuxGRO(b *testing.B, gro bool, batchSize, payloadLen int) {
 	d := mkDUT(b, testbed.PlatformLinux, testbed.Scenario{})
 	d.In.SetGRO(gro)
 	src, dst := mustAddr("10.1.0.1"), packet.AddrFrom4(10, 100+3, 0, 9)
-	payload := make([]byte, 128)
+	payload := make([]byte, payloadLen)
 	templates := make([][]byte, batchSize)
 	for i := range templates {
 		tcp := packet.TCP{SrcPort: 4000, DstPort: 80, Seq: uint32(i) * uint32(len(payload)),
@@ -283,8 +283,14 @@ func benchLinuxGRO(b *testing.B, gro bool, batchSize int) {
 // NAPI bursts of one TCP flow, coalesced to two supersegments per burst
 // before IP input. Compare against BenchmarkRealLinuxGROOffSameFlow for
 // the per-frame stack-walk savings.
-func BenchmarkRealLinuxGROSameFlow(b *testing.B)    { benchLinuxGRO(b, true, 32) }
-func BenchmarkRealLinuxGROOffSameFlow(b *testing.B) { benchLinuxGRO(b, false, 32) }
+func BenchmarkRealLinuxGROSameFlow(b *testing.B)    { benchLinuxGRO(b, true, 32, 128) }
+func BenchmarkRealLinuxGROOffSameFlow(b *testing.B) { benchLinuxGRO(b, false, 32, 128) }
+
+// BenchmarkRealLinuxGROBulk1448 is the same train at one MSS per segment,
+// where summing, copying and allocating bytes dominate the stack walk GRO
+// saves: the host-time side of the GRO inversion, which the 128 B pair hides.
+func BenchmarkRealLinuxGROBulk1448(b *testing.B)    { benchLinuxGRO(b, true, 32, 1448) }
+func BenchmarkRealLinuxGROOffBulk1448(b *testing.B) { benchLinuxGRO(b, false, 32, 1448) }
 
 func BenchmarkRealPolycube(b *testing.B) {
 	benchPlatformForward(b, testbed.PlatformPolycube, testbed.Scenario{})

@@ -44,6 +44,17 @@ type gsoMeta struct {
 	size    int // payload bytes per output segment
 	segs    int // coalesced segment count
 	pshLast bool
+	// sums[:segs] are the merged segments' payload sums as GRO verified them,
+	// for SegmentTCPSums; nil on singles.
+	sums *[GROMaxSegs]uint16
+}
+
+// paySums is what SegmentTCPSums takes: nil when nothing was carried.
+func (g gsoMeta) paySums() []uint16 {
+	if g.sums == nil {
+		return nil
+	}
+	return g.sums[:g.segs]
 }
 
 // groOut is one frame the GRO layer emits into the stack: a passthrough
@@ -70,6 +81,11 @@ type groHold struct {
 	gsoSize int // payload length of the first segment: the split size
 	segs    int
 	pshLast bool
+	// paySum is the running one's-complement sum of the payload held so far
+	// (each piece placed with packet.SumAt); sums keeps the per-segment
+	// values, allocated with the first merge.
+	paySum uint32
+	sums   *[GROMaxSegs]uint16
 
 	src, dst     packet.Addr
 	sport, dport uint16
@@ -124,6 +140,7 @@ type groCand struct {
 	id           uint16
 	flags        packet.TCPFlags
 	payload      []byte
+	paySum       uint16 // packet.PartialSum(payload), verified
 }
 
 // groParse classifies a frame. Anything unusual — control bits, TCP options,
@@ -167,10 +184,14 @@ func groParse(frame []byte, c *groCand) {
 	if packet.Checksum(frame[l3:l4]) != 0 {
 		return
 	}
-	if packet.ChecksumWithPseudo(c.src, c.dst, packet.ProtoTCP, frame[l4:l3+totalLen]) != 0 {
+	// The payload is summed here and nowhere else: flush and GSO build their
+	// checksums from this value.
+	payload := frame[l4+packet.TCPHdrLen : l3+totalLen]
+	paySum := packet.PartialSum(payload)
+	if packet.ChecksumWithPseudoSum(c.src, c.dst, packet.ProtoTCP, frame[l4:l4+packet.TCPHdrLen], uint32(paySum), len(payload)) != 0 {
 		return
 	}
-	c.payload = frame[l4+packet.TCPHdrLen : l3+totalLen]
+	c.payload, c.paySum = payload, paySum
 	c.merge = true
 }
 
@@ -240,6 +261,16 @@ func (ctx *groCtx) receive(k *Kernel, dev *netdev.Device, frame []byte, now sim.
 		// carries every sampled segment's trace ID forward.
 		h.fl = fr.Fold(h.fl, frame, m)
 	}
+	if h.segs == 1 {
+		// First merge: grow once to the most this hold can come to hold, so
+		// no later append reallocates.
+		grown := make([]byte, len(h.buf), min(len(h.buf)+(GROMaxSegs-1)*h.gsoSize, h.l3+groMaxSuperLen))
+		copy(grown, h.buf)
+		h.buf = grown
+		h.sums = &[GROMaxSegs]uint16{uint16(h.paySum)}
+	}
+	h.paySum += uint32(packet.SumAt(c.paySum, h.segs*h.gsoSize))
+	h.sums[h.segs] = c.paySum
 	h.buf = append(h.buf, c.payload...)
 	h.segs++
 	h.nextSeq += uint32(len(c.payload))
@@ -334,6 +365,7 @@ func (ctx *groCtx) start(k *Kernel, dev *netdev.Device, frame []byte, c *groCand
 		l4:      c.l4,
 		gsoSize: len(c.payload),
 		segs:    1,
+		paySum:  uint32(c.paySum),
 		src:     c.src, dst: c.dst, sport: c.sport, dport: c.dport,
 		nextSeq: c.seq + uint32(len(c.payload)),
 		nextID:  c.id + 1,
@@ -351,9 +383,10 @@ func (ctx *groCtx) start(k *Kernel, dev *netdev.Device, frame []byte, c *groCand
 // flushHold finalizes a hold into an emitted frame: a single passes through
 // byte-identical; a supersegment gets its IP total length patched
 // (incremental checksum), the PSH bit restored when the last merged segment
-// carried it, and the TCP checksum recomputed over the merged payload.
+// carried it, and its TCP checksum built from the 20 header bytes and the
+// payload sum carried since groParse — the merged payload is not read again.
 func (ctx *groCtx) flushHold(k *Kernel, h *groHold, outs []groOut, m *sim.Meter) []groOut {
-	out := groOut{frame: h.buf, dev: h.dev, gso: gsoMeta{size: h.gsoSize, segs: h.segs, pshLast: h.pshLast}}
+	out := groOut{frame: h.buf, dev: h.dev, gso: gsoMeta{size: h.gsoSize, segs: h.segs, pshLast: h.pshLast, sums: h.sums}}
 	if h.fl != nil {
 		// The held chain registers under the flushed frame's address, still
 		// parked; the downstream Enter stamps the resume span.
@@ -369,7 +402,7 @@ func (ctx *groCtx) flushHold(k *Kernel, h *groHold, outs []groOut, m *sim.Meter)
 		if h.pshLast {
 			f[h.l4+13] |= byte(packet.TCPPsh)
 		}
-		packet.RecomputeTCPChecksum(f, h.l3, h.l4)
+		packet.RecomputeTCPChecksumSum(f, h.l3, h.l4, h.paySum)
 		c.groSupersegs.Add(1)
 	}
 	c.groFlushes.Add(1)
@@ -591,7 +624,7 @@ func (k *Kernel) deliverRun(dev *netdev.Device, outs []groOut, decomposed bool, 
 						if fr != nil {
 							fr.SpanCur(m, flight.StageGSO, flight.VerdictNone)
 						}
-						segs := packet.SegmentTCP(skb.Data, l3, l3+packet.IPv4MinLen, o.gso.size, o.gso.pshLast)
+						segs := packet.SegmentTCPSums(skb.Data, l3, l3+packet.IPv4MinLen, o.gso.size, o.gso.pshLast, o.gso.paySums())
 						m.Charge(sim.CostGSOSegment * sim.Cycles(len(segs)))
 						tgt.TransmitBatch(segs, m)
 					}
@@ -659,7 +692,7 @@ func (k *Kernel) gsoForward(dev, out *netdev.Device, nexthop packet.Addr, frame 
 	if !ok {
 		// The neighbour queue retains frames verbatim until the ARP reply
 		// flushes them — so queue wire-sized segments, never the super.
-		segs := packet.SegmentTCP(frame, l3, l4, gso.size, gso.pshLast)
+		segs := packet.SegmentTCPSums(frame, l3, l4, gso.size, gso.pshLast, gso.paySums())
 		m.Charge(sim.CostGSOSegment * sim.Cycles(len(segs)))
 		fr := k.flight.Load()
 		if fr != nil {
@@ -738,7 +771,7 @@ func (k *Kernel) gsoForward(dev, out *netdev.Device, nexthop packet.Addr, frame 
 // it returns true to tell the caller not to count the supersegment again.
 func (k *Kernel) gsoTransmit(dev, out *netdev.Device, nexthop packet.Addr, frame []byte, l3, l4 int, gso gsoMeta, m *sim.Meter) bool {
 	k.flightSpan(m, flight.StageGSO, flight.VerdictNone)
-	segs := packet.SegmentTCP(frame, l3, l4, gso.size, gso.pshLast)
+	segs := packet.SegmentTCPSums(frame, l3, l4, gso.size, gso.pshLast, gso.paySums())
 	m.Charge(sim.CostGSOSegment * sim.Cycles(len(segs)))
 	if l4-l3+packet.TCPHdrLen+gso.size <= out.MTU {
 		out.TransmitBatch(segs, m)

@@ -167,11 +167,129 @@ func groWorkload(g *groRig, n int, seed int64, dports []uint16) [][]byte {
 	return frames
 }
 
+// checkForwardWorlds compares what a GRO-on and a GRO-off rig put on the
+// egress wire for the same input: the same frames per flow byte for byte,
+// every TCP checksum verifying over the bytes actually sent (a carried
+// payload sum that went stale between GRO and GSO would fail here even if
+// both worlds agreed — checked by the callers that send only valid frames),
+// and counters that reconcile exactly — every coalesced frame moves from the
+// Forwarded column to GROCoalesced, nothing else changes.
+func checkForwardWorlds(t *testing.T, on, off *groRig) {
+	t.Helper()
+	checkWire(t, on, off)
+	sOn, sOff := on.r.Stats(), off.r.Stats()
+	if sOn.Forwarded+sOn.GROCoalesced != sOff.Forwarded {
+		t.Errorf("forwarded+coalesced = %d+%d, want %d",
+			sOn.Forwarded, sOn.GROCoalesced, sOff.Forwarded)
+	}
+	if sOn.Dropped != sOff.Dropped || sOn.Delivered != sOff.Delivered {
+		t.Errorf("dropped/delivered diverged: %d/%d vs %d/%d",
+			sOn.Dropped, sOn.Delivered, sOff.Dropped, sOff.Delivered)
+	}
+}
+
+// checkWire is the on-the-wire half of checkForwardWorlds.
+func checkWire(t *testing.T, on, off *groRig) {
+	t.Helper()
+	if len(on.captured) == 0 {
+		t.Fatal("nothing forwarded; test is vacuous")
+	}
+	if len(on.captured) != len(off.captured) {
+		t.Fatalf("captured %d frames with GRO, %d without", len(on.captured), len(off.captured))
+	}
+	fOn, fOff := byFlow(on.captured), byFlow(off.captured)
+	for key, seq := range fOff {
+		oseq := fOn[key]
+		if len(oseq) != len(seq) {
+			t.Fatalf("flow %s: %d frames with GRO, %d without", key, len(oseq), len(seq))
+		}
+		for i := range seq {
+			if !bytes.Equal(oseq[i], seq[i]) {
+				t.Fatalf("flow %s frame %d differs:\n gro %x\n off %x", key, i, oseq[i], seq[i])
+			}
+		}
+	}
+	if txOn, txOff := on.r1.Stats().TxPackets, off.r1.Stats().TxPackets; txOn != txOff {
+		t.Errorf("egress TxPackets %d with GRO, %d without", txOn, txOff)
+	}
+}
+
+// tcpChecksumOK verifies a captured IPv4/TCP frame's checksum from scratch.
+func tcpChecksumOK(f []byte) bool {
+	l3 := packet.EthHdrLen
+	l4 := l3 + packet.IPv4MinLen
+	return packet.ChecksumWithPseudo(packet.IPv4Src(f, l3), packet.IPv4Dst(f, l3), packet.ProtoTCP, f[l4:]) == 0
+}
+
+// train builds one flow's in-order data segments with the given payload
+// sizes, random bytes from rng, PSH on the last one when psh.
+func (g *groRig) train(rng *rand.Rand, dst packet.Addr, sport uint16, psh bool, sizes ...int) [][]byte {
+	frames := make([][]byte, len(sizes))
+	seq, id := uint32(0xffff_f000), uint16(0xfff8) // both wrap inside a long train
+	for i, n := range sizes {
+		p := make([]byte, n)
+		rng.Read(p)
+		fl := packet.TCPAck
+		if psh && i == len(sizes)-1 {
+			fl |= packet.TCPPsh
+		}
+		frames[i] = g.tcpSeg(dst, sport, 80, seq, id, fl, p)
+		seq += uint32(n)
+		id++
+	}
+	return frames
+}
+
+// repeatSize is n copies of size followed by the tail sizes.
+func repeatSize(n, size int, tail ...int) []int {
+	out := make([]int, 0, n+len(tail))
+	for i := 0; i < n; i++ {
+		out = append(out, size)
+	}
+	return append(out, tail...)
+}
+
+// masqueradeEgress puts the nearest thing this model has to an SNAT rule
+// between GRO and GSO: a POSTROUTING rule that matches the flow (netfilter
+// here has no rewriting target; the chain is walked once per supersegment)
+// and a TC egress program on eth1 that rewrites the source address with
+// RFC 1624 incremental updates of both checksums, as a masquerading program
+// would — per frame in the GRO-off world, once per supersegment with GRO on.
+func masqueradeEgress(t *testing.T, g *groRig) {
+	t.Helper()
+	src := packet.MustPrefix("10.1.0.0/24")
+	if err := g.r.IptAppend("POSTROUTING", netfilter.Rule{Match: netfilter.Match{Src: &src}, Target: netfilter.VerdictAccept}); err != nil {
+		t.Fatal(err)
+	}
+	to := packet.AddrFrom4(10, 2, 0, 254)
+	g.r.AttachTC(g.r1.Index, false, tcFunc(func(s *SKB) TCAction {
+		f := s.Data
+		et, l3 := packet.EtherTypeOf(f)
+		if et != packet.EtherTypeIPv4 || packet.IPv4Proto(f, l3) != packet.ProtoTCP {
+			return TCOk
+		}
+		l4 := l3 + packet.IPv4MinLen
+		for i, w := range []uint16{uint16(to >> 16), uint16(to)} {
+			at := l3 + 12 + 2*i
+			old := uint16(f[at])<<8 | uint16(f[at+1])
+			f[at], f[at+1] = byte(w>>8), byte(w)
+			for _, c := range []int{l3 + 10, l4 + 16} {
+				u := packet.ChecksumUpdate16(uint16(f[c])<<8|uint16(f[c+1]), old, w)
+				f[c], f[c+1] = byte(u>>8), byte(u)
+			}
+		}
+		return TCOk
+	}))
+}
+
 // TestGROForwardEquivalence is the tentpole's central property: with GRO on,
 // the router's egress must be byte-identical per flow to the GRO-off world —
-// coalescing and resegmentation must be invisible on the wire — and the
-// counters must reconcile exactly: every coalesced frame moves from the
-// Forwarded column to GROCoalesced, nothing else changes.
+// coalescing and resegmentation must be invisible on the wire. The batch*
+// cases run the mixed 64-byte workload at several poll sizes; the others aim
+// at the carried payload sums: MSS-sized and odd-sized segments (every other
+// piece lands at an odd offset and enters byte-swapped), odd tails, the
+// 17-segment rollover, interleaved flows, holds that ride across polls, and
+// every header rewrite that happens between GRO and GSO.
 func TestGROForwardEquivalence(t *testing.T) {
 	const frames = 900 // spans many polls at several batch sizes
 
@@ -191,84 +309,219 @@ func TestGROForwardEquivalence(t *testing.T) {
 				on.poll(wOn[i:end]...)
 				off.poll(wOff[i:end]...)
 			}
-
-			if len(on.captured) == 0 {
-				t.Fatal("nothing forwarded; test is vacuous")
-			}
-			if len(on.captured) != len(off.captured) {
-				t.Fatalf("captured %d frames with GRO, %d without", len(on.captured), len(off.captured))
-			}
-			fOn, fOff := byFlow(on.captured), byFlow(off.captured)
-			for key, seq := range fOff {
-				oseq := fOn[key]
-				if len(oseq) != len(seq) {
-					t.Fatalf("flow %s: %d frames with GRO, %d without", key, len(oseq), len(seq))
-				}
-				for i := range seq {
-					if !bytes.Equal(oseq[i], seq[i]) {
-						t.Fatalf("flow %s frame %d differs:\n gro %x\n off %x", key, i, oseq[i], seq[i])
-					}
-				}
-			}
-
-			sOn, sOff := on.r.Stats(), off.r.Stats()
-			if batch > 1 && (sOn.GROCoalesced == 0 || sOn.GROSupersegs == 0) {
+			checkForwardWorlds(t, on, off)
+			if sOn := on.r.Stats(); batch > 1 && (sOn.GROCoalesced == 0 || sOn.GROSupersegs == 0) {
 				t.Fatal("GRO never coalesced; equivalence is vacuous")
 			}
-			if sOn.Forwarded+sOn.GROCoalesced != sOff.Forwarded {
-				t.Errorf("forwarded+coalesced = %d+%d, want %d",
-					sOn.Forwarded, sOn.GROCoalesced, sOff.Forwarded)
+		})
+	}
+
+	dst := packet.AddrFrom4(10, 2, 0, 1)
+	cases := []struct {
+		name      string
+		drive     func(t *testing.T, g *groRig, rng *rand.Rand)
+		coalesced uint64 // with GRO on
+		supersegs uint64
+		wireOnly  bool // the path bypasses ip_forward and its counters
+	}{
+		{"mss1448 rollover at 17", func(t *testing.T, g *groRig, rng *rand.Rand) {
+			g.poll(g.train(rng, dst, 4000, false, repeatSize(20, 1448)...)...)
+		}, 18, 2, false},
+		{"odd mss 1447 with odd tail", func(t *testing.T, g *groRig, rng *rand.Rand) {
+			g.poll(g.train(rng, dst, 4000, false, repeatSize(15, 1447, 333)...)...)
+		}, 15, 1, false},
+		{"odd mss 1447 with even tail and psh", func(t *testing.T, g *groRig, rng *rand.Rand) {
+			g.poll(g.train(rng, dst, 4000, true, repeatSize(4, 1447, 1000)...)...)
+		}, 4, 1, false},
+		{"three one-byte segments", func(t *testing.T, g *groRig, rng *rand.Rand) {
+			g.poll(g.train(rng, dst, 4000, false, 1, 1, 1)...)
+		}, 2, 1, false},
+		{"odd mss rollover at 17", func(t *testing.T, g *groRig, rng *rand.Rand) {
+			g.poll(g.train(rng, dst, 4000, true, repeatSize(36, 1447)...)...)
+		}, 33, 3, false},
+		{"two interleaved flows", func(t *testing.T, g *groRig, rng *rand.Rand) {
+			a := g.train(rng, dst, 4000, false, repeatSize(9, 1447, 12)...)
+			b := g.train(rng, packet.AddrFrom4(10, 2, 0, 2), 4001, true, repeatSize(10, 1448)...)
+			var burst [][]byte
+			for i := range a {
+				burst = append(burst, a[i], b[i])
 			}
-			if sOn.Dropped != sOff.Dropped || sOn.Delivered != sOff.Delivered {
-				t.Errorf("dropped/delivered diverged: %d/%d vs %d/%d",
-					sOn.Dropped, sOn.Delivered, sOff.Dropped, sOff.Delivered)
+			g.poll(burst...)
+		}, 18, 2, false},
+		{"hold rides across polls", func(t *testing.T, g *groRig, rng *rand.Rand) {
+			var now sim.Time
+			g.r.SetClock(func() sim.Time { return now })
+			g.r.SetSysctl("net.core.gro_flush_timeout", "1000000")
+			tr := g.train(rng, dst, 4000, false, repeatSize(7, 1447)...)
+			g.poll(tr[0:3]...)
+			now = 400_000
+			g.poll(tr[3:5]...)
+			now = 800_000
+			g.poll(tr[5:7]...)
+			now = 2_000_000
+			g.poll() // the next poll past the deadline flushes the hold
+			var m sim.Meter
+			g.r.GROFlushAll(nil, &m)
+		}, 6, 1, false},
+		{"ttl 2 and a masquerading egress", func(t *testing.T, g *groRig, rng *rand.Rand) {
+			masqueradeEgress(t, g)
+			tr := g.train(rng, dst, 4000, true, repeatSize(6, 1447, 5)...)
+			for _, f := range tr { // TTL 2: forwarded with the last hop left
+				f[packet.EthHdrLen+8] = 2
+				packet.RecomputeIPv4Checksum(f, packet.EthHdrLen)
 			}
-			if txOn, txOff := on.r1.Stats().TxPackets, off.r1.Stats().TxPackets; txOn != txOff {
-				t.Errorf("egress TxPackets %d with GRO, %d without", txOn, txOff)
+			g.poll(tr...)
+		}, 6, 1, false},
+		{"unresolved neighbour queues segments", func(t *testing.T, g *groRig, rng *rand.Rand) {
+			nh := packet.AddrFrom4(10, 2, 0, 77) // no neighbour entry: three segments fit the queue
+			g.poll(g.train(rng, nh, 4000, false, 1447, 1447, 9)...)
+			mac := packet.MustHWAddr("02:00:00:00:02:4d")
+			var m sim.Meter
+			g.r1.Receive(packet.BuildARP(mac, g.r1.MAC, packet.ARP{
+				Op: packet.ARPReply, SenderHW: mac, SenderIP: nh, TargetHW: g.r1.MAC, TargetIP: packet.MustAddr("10.2.0.254"),
+			}), &m)
+			g.captured = g.captured[1:] // the who-has carries the rig's own MAC
+		}, 2, 1, false},
+		{"tc ingress redirect", func(t *testing.T, g *groRig, rng *rand.Rand) {
+			g.r.AttachTC(g.r0.Index, true, tcFunc(func(s *SKB) TCAction {
+				s.RedirectTo = g.r1.Index
+				return TCRedirect
+			}))
+			g.poll(g.train(rng, dst, 4000, true, repeatSize(5, 1447, 2)...)...)
+		}, 5, 1, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			on := newGroRig(t)
+			off := newGroRig(t)
+			off.r0.SetGRO(false)
+			tc.drive(t, on, rand.New(rand.NewSource(7)))
+			tc.drive(t, off, rand.New(rand.NewSource(7)))
+			if tc.wireOnly {
+				checkWire(t, on, off)
+			} else {
+				checkForwardWorlds(t, on, off)
+			}
+			for i, f := range on.captured {
+				if packet.IPv4Proto(f, packet.EthHdrLen) == packet.ProtoTCP && !tcpChecksumOK(f) {
+					t.Errorf("egress frame %d: TCP checksum does not verify", i)
+				}
+			}
+			if st := on.r.Stats(); st.GROCoalesced != tc.coalesced || st.GROSupersegs != tc.supersegs {
+				t.Errorf("coalesced/supersegs = %d/%d, want %d/%d", st.GROCoalesced, st.GROSupersegs, tc.coalesced, tc.supersegs)
 			}
 		})
 	}
 }
 
+// TestGROCorruptSegmentNeverMerges: one flipped payload bit in segment k of
+// a train. GRO verifies both checksums of every candidate, so that segment
+// is never merged and never counted as coalesced; it flushes the hold in
+// front of it and leaves exactly as it leaves without GRO — payload and TCP
+// checksum field untouched, still failing verification at the receiver.
+func TestGROCorruptSegmentNeverMerges(t *testing.T) {
+	const n = 6
+	dst := packet.AddrFrom4(10, 2, 0, 1)
+	for k := 0; k < n; k++ {
+		on := newGroRig(t)
+		off := newGroRig(t)
+		off.r0.SetGRO(false)
+		var bad []byte
+		for _, g := range []*groRig{on, off} {
+			tr := g.train(rand.New(rand.NewSource(3)), dst, 4000, false, repeatSize(n, 1447)...)
+			tr[k][len(tr[k])-700] ^= 0x10
+			bad = tr[k]
+			g.poll(tr...)
+		}
+		checkForwardWorlds(t, on, off)
+		// k clean segments before the corrupt one, n-1-k after it: each run
+		// coalesces all but its first.
+		want := uint64(max(k-1, 0) + max(n-2-k, 0))
+		if got := on.r.Stats().GROCoalesced; got != want {
+			t.Errorf("k=%d: coalesced %d, want %d", k, got, want)
+		}
+		l4 := packet.EthHdrLen + packet.IPv4MinLen
+		got := on.captured[k]
+		if !bytes.Equal(got[l4:], bad[l4:]) {
+			t.Errorf("k=%d: the corrupt segment's TCP header or payload was modified", k)
+		}
+		for i, f := range on.captured {
+			if ok := tcpChecksumOK(f); ok != (i != k) {
+				t.Errorf("k=%d: egress frame %d verifies = %v", k, i, ok)
+			}
+		}
+	}
+}
+
+// TestGROSupersegmentAllocs pins what one flushed 16-segment supersegment
+// allocates on the forward path: the hold (exact copy at start, grown once —
+// and only once — at the first merge), the per-segment sums that ride to
+// GSO, and SegmentTCP's backing array and frame list.
+func TestGROSupersegmentAllocs(t *testing.T) {
+	g := &groRig{}
+	g.r, g.r0, g.r1, g.srcMAC, _ = newFwdRouter(t) // eth1 unplugged: no capture copies
+	tr := g.train(rand.New(rand.NewSource(5)), packet.AddrFrom4(10, 2, 0, 1), 4000, false, repeatSize(16, 1448)...)
+	var m sim.Meter              // one meter for every poll: g.poll's would count as an allocation
+	g.r0.ReceiveBatch(tr, 0, &m) // warm the pools
+	before := g.r.Stats()
+	allocs := testing.AllocsPerRun(50, func() { g.r0.ReceiveBatch(tr, 0, &m) })
+	if st := g.r.Stats(); st.GROSupersegs-before.GROSupersegs != 51 || st.GROCoalesced-before.GROCoalesced != 51*15 {
+		t.Fatalf("supersegs/coalesced = %d/%d over 51 polls, want 51/%d",
+			st.GROSupersegs-before.GROSupersegs, st.GROCoalesced-before.GROCoalesced, 51*15)
+	}
+	if allocs > 5 {
+		t.Errorf("%v allocations per 16-segment supersegment, want at most 5", allocs)
+	}
+}
+
 // TestGROLocalDeliveryEquivalence: a coalesced flow addressed at the router
-// itself arrives as one socket message carrying the merged payload; the byte
-// stream the application reads is identical either way, and the delivered
-// counter reconciles through GROCoalesced.
+// itself arrives as one socket message per supersegment carrying the merged
+// payload; the byte stream the application reads is identical either way,
+// and the delivered counter reconciles through GROCoalesced. Local delivery
+// is where a wrong supersegment checksum shows: UnmarshalTCP verifies it, so
+// a carried sum misplaced at an odd offset would drop the whole message.
 func TestGROLocalDeliveryEquivalence(t *testing.T) {
-	run := func(gro bool) (stream []byte, msgs int, st Stats) {
+	run := func(gro bool, sizes []int) (stream []byte, msgs int, st Stats) {
 		g := newGroRig(t)
 		g.r0.SetGRO(gro)
-		g.r.RegisterSocket(packet.ProtoTCP, 5000, func(_ *Kernel, msg SocketMsg) {
+		g.r.RegisterSocket(packet.ProtoTCP, 80, func(_ *Kernel, msg SocketMsg) {
 			stream = append(stream, msg.Payload...)
 			msgs++
 		})
-		local := packet.MustAddr("10.1.0.254")
-		var frames [][]byte
-		seq, id := uint32(100), uint16(50)
-		for i := 0; i < 5; i++ {
-			fl := packet.TCPAck
-			if i == 4 {
-				fl |= packet.TCPPsh
-			}
-			p := bytes.Repeat([]byte{byte('a' + i)}, 32)
-			frames = append(frames, g.tcpSeg(local, 4000, 5000, seq, id, fl, p))
-			seq += 32
-			id++
-		}
-		g.poll(frames...)
+		g.poll(g.train(rand.New(rand.NewSource(11)), packet.MustAddr("10.1.0.254"), 4000, true, sizes...)...)
 		return stream, msgs, g.r.Stats()
 	}
-
-	onStream, onMsgs, onSt := run(true)
-	offStream, offMsgs, offSt := run(false)
-	if !bytes.Equal(onStream, offStream) {
-		t.Fatalf("payload stream differs:\n gro %q\n off %q", onStream, offStream)
-	}
-	if onMsgs != 1 || offMsgs != 5 {
-		t.Errorf("messages = %d gro / %d off, want 1 / 5", onMsgs, offMsgs)
-	}
-	if onSt.Delivered+onSt.GROCoalesced != offSt.Delivered {
-		t.Errorf("delivered+coalesced = %d+%d, want %d", onSt.Delivered, onSt.GROCoalesced, offSt.Delivered)
+	for _, tc := range []struct {
+		name   string
+		sizes  []int
+		onMsgs int
+	}{
+		{"5x32", repeatSize(5, 32), 1},
+		{"20x1448", repeatSize(20, 1448), 2},
+		{"odd 1447 odd tail", repeatSize(16, 1447, 333), 1},
+		{"odd 1447 even tail", repeatSize(3, 1447, 1446), 1},
+		{"1 1 1", []int{1, 1, 1}, 1},
+		{"odd rollover", repeatSize(35, 999), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			onStream, onMsgs, onSt := run(true, tc.sizes)
+			offStream, offMsgs, offSt := run(false, tc.sizes)
+			if len(offStream) == 0 {
+				t.Fatal("nothing delivered; test is vacuous")
+			}
+			if !bytes.Equal(onStream, offStream) {
+				t.Fatalf("payload stream differs: %d bytes with GRO, %d without", len(onStream), len(offStream))
+			}
+			if onMsgs != tc.onMsgs || offMsgs != len(tc.sizes) {
+				t.Errorf("messages = %d gro / %d off, want %d / %d", onMsgs, offMsgs, tc.onMsgs, len(tc.sizes))
+			}
+			if onSt.Delivered+onSt.GROCoalesced != offSt.Delivered {
+				t.Errorf("delivered+coalesced = %d+%d, want %d", onSt.Delivered, onSt.GROCoalesced, offSt.Delivered)
+			}
+			if onSt.Dropped != 0 || offSt.Dropped != 0 {
+				t.Errorf("dropped %d with GRO, %d without", onSt.Dropped, offSt.Dropped)
+			}
+		})
 	}
 }
 

@@ -411,8 +411,13 @@ func (k *Kernel) rpsDeliver(st *rpsState, dev *netdev.Device, frame []byte, eth 
 	if target == cur || target < 0 || target >= NumRxShards {
 		if qslot != nil {
 			// Local processing is synchronous and in-order by construction:
-			// a zero qtail is always "drained".
-			qslot.Store(packDevFlow(cur, 0))
+			// a zero qtail is always "drained". A slot that already names
+			// this CPU is left alone: on the backlog kthread's re-entry it
+			// holds the flow's last enqueue here, and frames of the flow may
+			// still sit in this ring behind the one being delivered.
+			if last, _ := unpackDevFlow(qslot.Load()); last != cur {
+				qslot.Store(packDevFlow(cur, 0))
+			}
 		}
 		return false
 	}

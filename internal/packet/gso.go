@@ -54,6 +54,18 @@ func RecomputeTCPChecksum(frame []byte, l3, l4 int) {
 	binary.BigEndian.PutUint16(frame[l4+16:l4+18], csum)
 }
 
+// RecomputeTCPChecksumSum is RecomputeTCPChecksum for a caller that already
+// holds paySum, the sum of the payload behind the option-less TCP header at
+// l4 (a PartialSum, or a wider total of SumAt-placed PartialSums): only the
+// pseudo-header and the 20 header bytes are read.
+func RecomputeTCPChecksumSum(frame []byte, l3, l4 int, paySum uint32) {
+	hdrEnd := l4 + TCPHdrLen
+	frame[l4+16], frame[l4+17] = 0, 0
+	csum := ChecksumWithPseudoSum(IPv4Src(frame, l3), IPv4Dst(frame, l3), ProtoTCP,
+		frame[l4:hdrEnd], paySum, l3+int(IPv4TotalLen(frame, l3))-hdrEnd)
+	binary.BigEndian.PutUint16(frame[l4+16:l4+18], csum)
+}
+
 // TCPSeq reads the sequence number of the TCP header at l4.
 func TCPSeq(frame []byte, l4 int) uint32 {
 	return binary.BigEndian.Uint32(frame[l4+4 : l4+8])
@@ -91,45 +103,65 @@ func TCPUrgent(frame []byte, l4 int) uint16 {
 // valid checksum equals the incremental update the fast path would have
 // done, so TTL-decremented supersegments resegment byte-identically too.
 // All output frames share one backing array: a single allocation per split.
+// A frame with no payload, or too short for its headers, comes back as its
+// own single segment; an IP total length past the frame is clamped to the
+// bytes present.
 func SegmentTCP(super []byte, l3, l4 int, mss int, pshLast bool) [][]byte {
+	return SegmentTCPSums(super, l3, l4, mss, pshLast, nil)
+}
+
+// SegmentTCPSums is SegmentTCP for a caller that already summed the payload:
+// sums[i] is the PartialSum of output segment i's payload bytes, so each TCP
+// checksum costs the pseudo-header and the 20 header bytes, not a pass over
+// the payload. Headers are always summed as they are now — TTL decrement and
+// NAT between coalescing and here are picked up — but the payload bytes must
+// be the ones that were summed. sums of any other length than the segment
+// count (nil included) are ignored and every payload is summed from scratch.
+func SegmentTCPSums(super []byte, l3, l4 int, mss int, pshLast bool, sums []uint16) [][]byte {
 	hdrLen := l4 + TCPHdrLen
-	payload := super[hdrLen : l3+int(IPv4TotalLen(super, l3))]
+	if len(super) < hdrLen {
+		return [][]byte{super}
+	}
+	payload := super[hdrLen:max(hdrLen, min(len(super), l3+int(IPv4TotalLen(super, l3))))]
 	if mss <= 0 || len(payload) <= mss {
 		mss = len(payload)
 	}
-	n := (len(payload) + mss - 1) / mss
-	if n == 0 {
-		n = 1
+	n := 1
+	if mss > 0 {
+		n = (len(payload) + mss - 1) / mss
+	}
+	if len(sums) != n {
+		sums = nil
 	}
 	backing := make([]byte, 0, n*hdrLen+len(payload))
 	out := make([][]byte, 0, n)
 	baseSeq := TCPSeq(super, l4)
 	baseID := IPv4ID(super, l3)
 	flags := TCPRawFlags(super, l4)
-	for i, off := 0, 0; off < len(payload) || i == 0; i, off = i+1, off+mss {
-		end := off + mss
-		if end > len(payload) {
-			end = len(payload)
-		}
+	for i, off := 0, 0; i < n; i, off = i+1, off+mss {
+		end := min(off+mss, len(payload))
 		start := len(backing)
 		backing = append(backing, super[:hdrLen]...)
 		backing = append(backing, payload[off:end]...)
 		seg := backing[start:]
-		last := end == len(payload)
 		binary.BigEndian.PutUint16(seg[l3+2:l3+4], uint16(hdrLen-l3+(end-off)))
 		binary.BigEndian.PutUint16(seg[l3+4:l3+6], baseID+uint16(i))
 		binary.BigEndian.PutUint32(seg[l4+4:l4+8], baseSeq+uint32(off))
 		f := flags &^ TCPPsh
-		if last && pshLast {
+		if i == n-1 && pshLast {
 			f |= TCPPsh
 		}
 		seg[l4+13] = byte(f)
-		RecomputeIPv4Checksum(seg, l3)
-		RecomputeTCPChecksum(seg, l3, l4)
-		out = append(out, seg)
-		if last {
-			break
+		// The IP header is the l4-l3 bytes the caller says it is, whatever
+		// the frame's IHL nibble claims.
+		seg[l3+10], seg[l3+11] = 0, 0
+		binary.BigEndian.PutUint16(seg[l3+10:l3+12], Checksum(seg[l3:l4]))
+		if sums != nil {
+			RecomputeTCPChecksumSum(seg, l3, l4, uint32(sums[i]))
+		} else {
+			RecomputeTCPChecksum(seg, l3, l4)
 		}
+		out = append(out, seg)
 	}
 	return out
 }

@@ -192,3 +192,143 @@ func TestSegmentTCPAfterTTLDec(t *testing.T) {
 		}
 	}
 }
+
+// buildSuper coalesces same-flow payload pieces the way the GRO engine does
+// and returns the supersegment with the pieces' PartialSums.
+func buildSuper(pieces ...string) (super []byte, sums []uint16) {
+	l3, l4 := EthHdrLen, EthHdrLen+IPv4MinLen
+	super = katFrame(0x1234, 100, pieces[0])
+	for i, p := range pieces {
+		if i > 0 {
+			super = append(super, p...)
+		}
+		sums = append(sums, PartialSum([]byte(p)))
+	}
+	SetIPv4TotalLen(super, l3, uint16(len(super)-l3))
+	RecomputeTCPChecksum(super, l3, l4)
+	return super, sums
+}
+
+// TestSegmentTCPSumsMatchesScratch: handing SegmentTCPSums the carried
+// payload sums yields the frames SegmentTCP computes from scratch, byte for
+// byte — at even and odd segment sizes, with an odd-length tail, and after
+// the header rewrites that happen between GRO and GSO (TTL, NAT).
+func TestSegmentTCPSumsMatchesScratch(t *testing.T) {
+	l3, l4 := EthHdrLen, EthHdrLen+IPv4MinLen
+	for _, pieces := range [][]string{
+		{"abcd", "efgh", "ijkl"},
+		{"abc", "def", "ghi", "j"}, // odd size: every other piece starts at an odd offset
+		{"a", "b", "c"},
+		{"abcde", "fghij", "klm"},
+		{"abcd"},
+	} {
+		super, sums := buildSuper(pieces...)
+		DecTTL(super, l3)
+		AddrFrom4(203, 0, 113, 7).PutBytes(super[l3+12 : l3+16]) // SNAT; checksums deliberately left stale
+		want := SegmentTCP(super, l3, l4, len(pieces[0]), true)
+		got := SegmentTCPSums(super, l3, l4, len(pieces[0]), true, sums)
+		if len(got) != len(pieces) || len(want) != len(pieces) {
+			t.Fatalf("%q: %d / %d segments, want %d", pieces, len(got), len(want), len(pieces))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Errorf("%q segment %d:\n sums    %x\n scratch %x", pieces, i, got[i], want[i])
+			}
+			if ChecksumWithPseudo(IPv4Src(got[i], l3), IPv4Dst(got[i], l3), ProtoTCP, got[i][l4:]) != 0 {
+				t.Errorf("%q segment %d TCP checksum does not verify", pieces, i)
+			}
+		}
+		// Sums that do not line up with the split are ignored, not misapplied.
+		if len(sums) > 1 {
+			got = SegmentTCPSums(super, l3, l4, len(pieces[0]), true, sums[1:])
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("%q segment %d differs with a short sums slice", pieces, i)
+				}
+			}
+		}
+	}
+}
+
+// TestSegmentTCPMalformed pins the two inputs that used to panic: a
+// header-only supersegment (division by a zero mss) and an IP total length
+// pointing past the frame (slice out of range).
+func TestSegmentTCPMalformed(t *testing.T) {
+	l3, l4 := EthHdrLen, EthHdrLen+IPv4MinLen
+	bare := katFrame(0x1234, 100, "")
+	for _, mss := range []int{0, 4, 1460} {
+		segs := SegmentTCP(bare, l3, l4, mss, false)
+		if len(segs) != 1 || !bytes.Equal(segs[0], bare) {
+			t.Fatalf("header-only frame, mss %d: %d segments, want the frame itself", mss, len(segs))
+		}
+	}
+
+	long := katFrame(0x1234, 100, "abcdefgh")
+	binary.BigEndian.PutUint16(long[l3+2:l3+4], 9000) // claims more than is there
+	segs := SegmentTCP(long, l3, l4, 4, false)
+	if len(segs) != 2 {
+		t.Fatalf("overlong total length: %d segments, want 2", len(segs))
+	}
+	if got := string(segs[0][l4+TCPHdrLen:]) + string(segs[1][l4+TCPHdrLen:]); got != "abcdefgh" {
+		t.Fatalf("overlong total length: payload %q, want the bytes present", got)
+	}
+
+	short := katFrame(0x1234, 100, "abcdefgh")
+	binary.BigEndian.PutUint16(short[l3+2:l3+4], 10) // claims less than its own headers
+	if segs := SegmentTCP(short, l3, l4, 4, false); len(segs) != 1 || len(segs[0]) != l4+TCPHdrLen {
+		t.Fatalf("undersized total length: %d segments", len(segs))
+	}
+	if segs := SegmentTCP(bare[:l4+7], l3, l4, 4, false); len(segs) != 1 {
+		t.Fatalf("truncated header: %d segments, want the frame back", len(segs))
+	}
+}
+
+// FuzzSegmentTCP: SegmentTCP never panics on any bytes; when the frame is a
+// well-formed IPv4/TCP segment, the outputs' payloads concatenate to the
+// input payload, every output checksum verifies, and carried sums change
+// nothing.
+func FuzzSegmentTCP(f *testing.F) {
+	f.Add(katFrame(0x1234, 100, "abcdefghij"), 4, true)
+	f.Add(katFrame(0xffff, 0xffff_fffe, "abcdefg"), 3, false)
+	f.Add(katFrame(1, 1, ""), 0, false)
+	f.Add(katFrame(1, 1, "x")[:40], 1, true)
+	f.Add([]byte{}, -1, false)
+	ihl11 := katFrame(1, 1, "abcdefgh")
+	ihl11[EthHdrLen] = 0x4b // header length nibble pointing past the frame's headers
+	f.Add(ihl11, 3, true)
+	f.Fuzz(func(t *testing.T, frame []byte, mss int, pshLast bool) {
+		et, l3 := EtherTypeOf(frame)
+		l4 := l3 + IPv4MinLen
+		hdrLen := l4 + TCPHdrLen
+		if et != EtherTypeIPv4 || len(frame) < l3+4 {
+			return // callers only split frames EtherTypeOf calls IPv4
+		}
+		segs := SegmentTCP(frame, l3, l4, mss, pshLast)
+		if len(frame) <= hdrLen || frame[l3] != 0x45 || l3+int(IPv4TotalLen(frame, l3)) != len(frame) {
+			return // malformed or header-only: not panicking is the property
+		}
+		var payload []byte
+		var sums []uint16
+		for i, s := range segs {
+			if Checksum(s[l3:l4]) != 0 {
+				t.Fatalf("segment %d IP checksum does not verify", i)
+			}
+			if ChecksumWithPseudo(IPv4Src(s, l3), IPv4Dst(s, l3), ProtoTCP, s[l4:]) != 0 {
+				t.Fatalf("segment %d TCP checksum does not verify", i)
+			}
+			if mss > 0 && len(s)-hdrLen > mss {
+				t.Fatalf("segment %d carries %d bytes, mss %d", i, len(s)-hdrLen, mss)
+			}
+			payload = append(payload, s[hdrLen:]...)
+			sums = append(sums, PartialSum(s[hdrLen:]))
+		}
+		if !bytes.Equal(payload, frame[hdrLen:]) {
+			t.Fatalf("payload not preserved: %d bytes in, %d out", len(frame)-hdrLen, len(payload))
+		}
+		for i, s := range SegmentTCPSums(frame, l3, l4, mss, pshLast, sums) {
+			if !bytes.Equal(s, segs[i]) {
+				t.Fatalf("segment %d differs with carried sums", i)
+			}
+		}
+	})
+}
