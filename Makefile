@@ -35,9 +35,13 @@ race:
 ## 128 B and at one MSS (BenchmarkRealLinuxGRO*), the checksum at 20/64/1448
 ## B and the 16 x 1448 B GSO split (internal/packet), and the test pinning
 ## allocations per flushed supersegment (the GRO hold grows at most once).
+## The lock-free read side rides along as well: the 100-rule chain through
+## hook and pinned snapshot, serial and parallel (internal/netfilter), the
+## parallel FIB and neighbour lookups (internal/fib, internal/neigh), and the
+## command-alone churn step (internal/shell, allocs/op is the figure).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRealForward|BenchmarkRealLinuxFPFastPath|BenchmarkRealLinuxGRO' -benchtime 100x -benchmem .
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/ebpf/ ./internal/netdev/ ./internal/kernel/ ./internal/steer/ ./internal/packet/
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/ebpf/ ./internal/netdev/ ./internal/kernel/ ./internal/steer/ ./internal/packet/ ./internal/netfilter/ ./internal/fib/ ./internal/neigh/ ./internal/shell/
 	$(GO) test -run TestGROSupersegmentAllocs -count 1 ./internal/kernel/
 
 ## obs-smoke: one lfptop frame (drop reasons + ring buffer + stage latency,

@@ -473,7 +473,8 @@ func HelperIptLookup(c *Ctx, hook netfilter.Hook, outIf int) IptResult {
 		SrcPort: c.SrcPort, DstPort: c.DstPort,
 		InIf: c.IfIndex, OutIf: outIf, Fragment: c.Fragment,
 	}
-	if c.Kernel.NF.CTRequired() {
+	cp := c.Kernel.NF.Snapshot(hook)
+	if cp.CTRequired {
 		c.Meter.Charge(sim.CostConntrackLookup)
 		conn, _, ok := c.Kernel.NF.Conntrack.Lookup(netfilter.Tuple{
 			Src: meta.Src, Dst: meta.Dst, Proto: meta.Proto,
@@ -484,7 +485,7 @@ func HelperIptLookup(c *Ctx, hook netfilter.Hook, outIf int) IptResult {
 		}
 		meta.CTState = conn.State
 	}
-	v, st := c.Kernel.NF.EvaluateHook(hook, meta)
+	v, st := cp.Evaluate(meta)
 	c.Meter.Charge(sim.CostHelperIptB +
 		sim.Cycles(st.RulesEvaluated)*sim.CostIptRuleFast +
 		sim.Cycles(st.SetProbes)*sim.CostIpsetLookup)
@@ -495,10 +496,10 @@ func HelperIptLookup(c *Ctx, hook netfilter.Hook, outIf int) IptResult {
 }
 
 // HelperIptLookupCompiled is the specialized form of bpf_ipt_lookup the JIT
-// specializer emits: the chain was compiled to a lock-free snapshot at Load
-// time, so evaluation skips the helper's meta-marshalling fixed part and the
-// interpreter's per-rule dispatch, and packets whose protocol no rule can
-// match skip the walk entirely. A generation guard keeps it sound: when the
+// specializer emits: the chain's compiled snapshot was pinned at Load time,
+// so the model charges neither the helper's meta-marshalling fixed part nor
+// the generic per-rule dispatch (the host runs one evaluator either way), and
+// packets whose protocol no rule can match skip the walk entirely. A generation guard keeps it sound: when the
 // ruleset has changed since compilation, the call falls back to the generic
 // helper, which is always correct (the controller re-specializes on the next
 // netlink event). Verdicts, punt behaviour, and rule hit counters are

@@ -73,30 +73,47 @@ func (r Route) String() string {
 	return b.String()
 }
 
-// node is a path-compressed binary trie node.
+// node is a path-compressed binary trie node. Lookup reads it without a
+// lock: best and child are atomic, prefix never changes, and a node is
+// complete before the store that makes it reachable.
 type node struct {
-	prefix packet.Prefix // the bits this node covers (masked)
-	routes []Route       // routes terminating exactly here, sorted by metric
-	child  [2]*node
+	prefix packet.Prefix         // the bits this node covers (masked)
+	best   atomic.Pointer[Route] // &routes[0]; nil while no route terminates here
+	routes []Route               // sorted by metric, never modified once set; mu guards the field
+	child  [2]atomic.Pointer[node]
 }
 
-// Table is one routing table: a thread-safe LPM trie.
+// setRoutes swaps the node's route list whole.
+func (n *node) setRoutes(rs []Route) {
+	n.routes = rs
+	if len(rs) == 0 {
+		n.best.Store(nil)
+	} else {
+		n.best.Store(&rs[0])
+	}
+}
+
+// Table is one routing table: an LPM trie that is read RCU-style. Writers
+// are serialised by mu and make each change visible with one atomic store,
+// then bump the generation; Lookup takes no lock.
 type Table struct {
 	mu   sync.RWMutex
-	root *node
+	root atomic.Pointer[node]
 	size int
-	gen  atomic.Uint64 // bumped on every mutation; caches validate against it
+	gen  atomic.Uint64 // bumped after every mutation; caches validate against it
 }
 
 // Gen reports the table's generation: a counter bumped on every route
 // mutation. Flow caches that memoized a lookup result compare the
-// generation they captured against the current one — any change
-// invalidates, which is the coherence rule the fast path relies on.
+// generation they captured *before* the lookup against the current one — any
+// change invalidates, which is the coherence rule the fast path relies on.
 func (t *Table) Gen() uint64 { return t.gen.Load() }
 
 // NewTable returns an empty routing table.
 func NewTable() *Table {
-	return &Table{root: &node{prefix: packet.Prefix{Addr: 0, Bits: 0}}}
+	t := &Table{}
+	t.root.Store(&node{})
+	return t
 }
 
 // Len reports the number of routes in the table.
@@ -126,31 +143,39 @@ func (t *Table) Add(r Route) {
 	r.Prefix = r.Prefix.Masked()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.gen.Add(1)
 	n := t.insertNode(r.Prefix)
-	for i, ex := range n.routes {
-		if ex.Metric == r.Metric {
-			n.routes[i] = r
-			return
-		}
+	old := n.routes
+	at := 0 // routes stay in metric order
+	for at < len(old) && old[at].Metric < r.Metric {
+		at++
 	}
-	n.routes = append(n.routes, r)
-	sort.SliceStable(n.routes, func(i, j int) bool { return n.routes[i].Metric < n.routes[j].Metric })
-	t.size++
+	replace := at < len(old) && old[at].Metric == r.Metric
+	rs := make([]Route, 0, len(old)+1)
+	rs = append(append(rs, old[:at]...), r)
+	if replace {
+		rs = append(rs, old[at+1:]...)
+	} else {
+		rs = append(rs, old[at:]...)
+		t.size++
+	}
+	n.setRoutes(rs)
+	t.gen.Add(1)
 }
 
-// insertNode finds or creates the trie node for the exact prefix.
+// insertNode finds or creates the trie node for the exact prefix. New nodes
+// are linked bottom-up: a split's intermediate node has both children in
+// place before the parent's pointer is stored.
 func (t *Table) insertNode(p packet.Prefix) *node {
-	cur := t.root
+	cur := t.root.Load()
 	for {
 		if cur.prefix.Bits == p.Bits && cur.prefix.Addr == p.Addr {
 			return cur
 		}
-		b := bitAt(p.Addr, cur.prefix.Bits)
-		next := cur.child[b]
+		slot := &cur.child[bitAt(p.Addr, cur.prefix.Bits)]
+		next := slot.Load()
 		if next == nil {
 			n := &node{prefix: p}
-			cur.child[b] = n
+			slot.Store(n)
 			return n
 		}
 		// How much of next's prefix does p share?
@@ -161,84 +186,105 @@ func (t *Table) insertNode(p packet.Prefix) *node {
 		}
 		// Split: create an intermediate node covering the shared bits.
 		mid := &node{prefix: packet.Prefix{Addr: p.Addr, Bits: shared}.Masked()}
-		cur.child[b] = mid
-		mid.child[bitAt(next.prefix.Addr, shared)] = next
-		if shared == p.Bits {
-			return mid
+		mid.child[bitAt(next.prefix.Addr, shared)].Store(next)
+		n := mid
+		if shared != p.Bits {
+			n = &node{prefix: p}
+			mid.child[bitAt(p.Addr, shared)].Store(n)
 		}
-		n := &node{prefix: p}
-		mid.child[bitAt(p.Addr, shared)] = n
+		slot.Store(mid)
 		return n
 	}
 }
 
 // Delete removes the route with the given prefix (and metric, if >= 0;
 // metric -1 removes all routes on the prefix). It reports whether anything
-// was removed. Trie nodes are left in place; empty nodes are harmless.
+// was removed. A node left with no route is unlinked unless it still forks
+// the trie, so the trie holds no more nodes than its routes need.
 func (t *Table) Delete(p packet.Prefix, metric int) bool {
 	p = p.Masked()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cur := t.root
-	for cur != nil {
-		if cur.prefix.Bits == p.Bits && cur.prefix.Addr == p.Addr {
-			if len(cur.routes) == 0 {
-				return false
-			}
-			if metric < 0 {
-				t.size -= len(cur.routes)
-				cur.routes = nil
-				t.gen.Add(1)
-				return true
-			}
-			for i, r := range cur.routes {
-				if r.Metric == metric {
-					cur.routes = append(cur.routes[:i], cur.routes[i+1:]...)
-					t.size--
-					t.gen.Add(1)
-					return true
-				}
-			}
+	var up, slot *atomic.Pointer[node] // the pointers to cur's parent and to cur
+	var parent *node
+	cur := t.root.Load()
+	for cur != nil && cur.prefix != p {
+		if cur.prefix.Bits >= p.Bits || commonBits(p.Addr, cur.prefix.Addr, cur.prefix.Bits) != cur.prefix.Bits {
 			return false
 		}
-		if cur.prefix.Bits >= p.Bits {
+		up, slot, parent = slot, &cur.child[bitAt(p.Addr, cur.prefix.Bits)], cur
+		cur = slot.Load()
+	}
+	if cur == nil || len(cur.routes) == 0 {
+		return false
+	}
+	var rs []Route // what stays on the node
+	if metric >= 0 {
+		at := 0
+		for at < len(cur.routes) && cur.routes[at].Metric != metric {
+			at++
+		}
+		if at == len(cur.routes) {
 			return false
 		}
-		cur = cur.child[bitAt(p.Addr, cur.prefix.Bits)]
-		if cur != nil && !cur.prefix.Masked().Contains(p.Addr&cur.prefix.Mask()) {
-			// Fast containment check: p must extend cur's prefix.
-			if commonBits(p.Addr, cur.prefix.Addr, cur.prefix.Bits) != cur.prefix.Bits {
-				return false
-			}
+		if len(cur.routes) > 1 {
+			rs = append(append(make([]Route, 0, len(cur.routes)-1), cur.routes[:at]...), cur.routes[at+1:]...)
 		}
 	}
-	return false
+	t.size -= len(cur.routes) - len(rs)
+	cur.setRoutes(rs)
+	if len(rs) == 0 && slot != nil {
+		prune(slot, cur)
+		if up != nil && len(parent.routes) == 0 {
+			prune(up, parent)
+		}
+	}
+	t.gen.Add(1)
+	return true
+}
+
+// prune unlinks a route-less node that no longer forks the trie: slot, the
+// pointer that reaches n, is pointed at n's only child (or nil). One store;
+// a reader already inside n still finds the way down.
+func prune(slot *atomic.Pointer[node], n *node) {
+	l, r := n.child[0].Load(), n.child[1].Load()
+	switch {
+	case l == nil:
+		slot.Store(r)
+	case r == nil:
+		slot.Store(l)
+	}
 }
 
 // Lookup returns the longest-prefix-match route for dst (lowest metric on
-// ties) and reports whether one exists.
+// ties) and reports whether one exists. It takes no lock. Each writer makes
+// one store that changes an answer and then bumps the generation, so a walk
+// with the same generation before and after crossed at most one change and
+// its answer is that of the state on one side of it; any other walk could
+// have combined two changes into a state that never existed, and retries.
 func (t *Table) Lookup(dst packet.Addr) (Route, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var (
-		best  Route
-		found bool
-	)
-	cur := t.root
-	for cur != nil {
-		if commonBits(dst, cur.prefix.Addr, cur.prefix.Bits) != cur.prefix.Bits {
-			break
+	for {
+		gen := t.gen.Load()
+		var best *Route
+		for cur := t.root.Load(); cur != nil; cur = cur.child[bitAt(dst, cur.prefix.Bits)].Load() {
+			if commonBits(dst, cur.prefix.Addr, cur.prefix.Bits) != cur.prefix.Bits {
+				break
+			}
+			if r := cur.best.Load(); r != nil {
+				best = r
+			}
+			if cur.prefix.Bits == 32 {
+				break
+			}
 		}
-		if len(cur.routes) > 0 {
-			best = cur.routes[0]
-			found = true
+		if t.gen.Load() != gen {
+			continue
 		}
-		if cur.prefix.Bits == 32 {
-			break
+		if best == nil {
+			return Route{}, false
 		}
-		cur = cur.child[bitAt(dst, cur.prefix.Bits)]
+		return *best, true
 	}
-	return best, found
 }
 
 // Routes returns all routes in deterministic (prefix, metric) order.
@@ -252,10 +298,10 @@ func (t *Table) Routes() []Route {
 			return
 		}
 		out = append(out, n.routes...)
-		walk(n.child[0])
-		walk(n.child[1])
+		walk(n.child[0].Load())
+		walk(n.child[1].Load())
 	}
-	walk(t.root)
+	walk(t.root.Load())
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Prefix.Addr != b.Prefix.Addr {
@@ -273,7 +319,7 @@ func (t *Table) Routes() []Route {
 func (t *Table) Flush() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.root = &node{prefix: packet.Prefix{}}
+	t.root.Store(&node{})
 	t.size = 0
 	t.gen.Add(1)
 }

@@ -404,12 +404,12 @@ type FilterConf struct {
 // FIB lookup so out-interface matches see the real egress. Flows the
 // helper cannot classify (conntrack miss) punt to the slow path.
 //
-// Specialization compiles the hook's chain into a lock-free snapshot at Load
-// time (netfilter.Compile): packets whose protocol no rule can match skip
-// the walk entirely, and the rest evaluate without the interpreter's
-// per-rule dispatch. A generation guard falls back to the generic helper
-// when the ruleset has changed since Load; chains with user-chain jumps
-// refuse to compile and keep the generic form.
+// Specialization pins the hook's compiled snapshot at Load time
+// (netfilter.Compile): packets whose protocol no rule can match skip the
+// walk entirely, and the rest are charged the specialised per-rule cost (on
+// the host both forms run the same evaluator). A generation guard falls back
+// to the generic helper when the ruleset has changed since Load; chains with
+// user-chain jumps refuse to compile and keep the generic form.
 func FilterOp(conf FilterConf) ebpf.Op {
 	return ebpf.NewOp("ipt_filter", 0, ebpf.CapHelperIpt, 72, func(c *ebpf.Ctx) ebpf.Verdict {
 		// Helper charges its own cost.
@@ -424,7 +424,7 @@ func FilterOp(conf FilterConf) ebpf.Op {
 	}).WithSpecializer(func(env *ebpf.SpecEnv) ebpf.SpecResult {
 		comp, ok := env.K.NF.Compile(conf.Hook)
 		if !ok {
-			return ebpf.SpecResult{} // jumps in the chain: keep the interpreter
+			return ebpf.SpecResult{} // jumps in the chain: keep the generic helper
 		}
 		return ebpf.SpecResult{Replace: ebpf.NewOp("ipt_filter_spec", 0, ebpf.CapHelperIpt, 40, func(c *ebpf.Ctx) ebpf.Verdict {
 			// Helper charges its own cost (guard + compiled walk, or the

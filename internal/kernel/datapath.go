@@ -423,13 +423,14 @@ func (k *Kernel) buildMetaInto(dev *netdev.Device, pkt *packet.Packet, meta *net
 // netfilter stage histogram is recorded here.
 func (k *Kernel) runHook(h netfilter.Hook, meta *netfilter.Meta, m *sim.Meter) netfilter.Verdict {
 	sl, start := k.stageStart(m)
-	v, st := k.NF.EvaluateHook(h, meta)
+	cp := k.NF.Snapshot(h)
+	v, st := cp.Evaluate(meta)
 	if st.RulesEvaluated > 0 {
 		m.Charge(sim.CostNFHookBase +
 			sim.Cycles(st.RulesEvaluated)*sim.CostIptRuleSlow +
 			sim.Cycles(st.SetProbes)*sim.CostIpsetLookup)
 	}
-	if k.NF.CTRequired() {
+	if cp.CTRequired {
 		m.Charge(sim.CostConntrackLookup)
 	}
 	if sl != nil {

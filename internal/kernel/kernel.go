@@ -915,7 +915,7 @@ func (k *Kernel) registerDumpers() {
 	})
 	k.Bus.RegisterDumper(netlink.GroupNeigh, func() []netlink.Message {
 		var out []netlink.Message
-		for _, e := range k.Neigh.Entries() {
+		for _, e := range k.Neigh.Entries(k.Now()) {
 			out = append(out, netlink.Message{Type: netlink.NewNeigh, Payload: netlink.NeighMsg{
 				Index: e.IfIndex, IP: e.IP, MAC: e.MAC, State: e.State.String(),
 			}})

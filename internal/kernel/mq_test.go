@@ -2,7 +2,10 @@ package kernel
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"linuxfp/internal/fib"
@@ -328,6 +331,138 @@ func TestFlowCacheInvalidation(t *testing.T) {
 	}
 	if len(onR1) != 6 {
 		t.Errorf("slow path lost frames after disable: eth1=%d, want 6", len(onR1))
+	}
+}
+
+// TestFlowCacheNeverOutlivesConcurrentChange is the invalidation test with
+// the control plane and the datapath running at once. FIB, neighbour and
+// netfilter reads take no lock, so the flow cache is only coherent if every
+// writer publishes before it bumps its generation and every reader captures
+// the generation before it reads: a decision read from old state must never
+// be stamped with the generation of the new one. Workers forward (and fill
+// their per-CPU caches) while a writer flips a stealing route, a FORWARD
+// drop and the next hop's MAC; each time the writer pauses, the next frame
+// on every CPU must follow the state it left — whatever was memoized
+// during the flips has to be dead.
+func TestFlowCacheNeverOutlivesConcurrentChange(t *testing.T) {
+	r, r0, r1, srcMAC, dstMAC := newFwdRouter(t)
+	r2 := r.CreateDevice("eth2", netdev.Physical)
+	r2.SetUp(true)
+	if err := r.AddAddr("eth2", packet.MustPrefix("10.3.0.254/24")); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddNeigh("eth2", packet.MustAddr("10.3.0.1"), packet.MustHWAddr("02:00:00:00:03:01")); err != nil {
+		t.Fatal(err)
+	}
+	r.SetSysctl("net.core.flow_cache", "1")
+
+	const workers = 4
+	type seen struct {
+		dev int // 0: the frame left on no device
+		dst packet.HWAddr
+	}
+	var last [workers]seen // slot w is touched only by worker w (the hooks run on its goroutine)
+	for _, d := range []*netdev.Device{r1, r2} {
+		d.SetTxHook(func(frame []byte, m *sim.Meter) bool {
+			last[m.CPU] = seen{d.Index, packet.EthDst(frame)}
+			return true
+		})
+	}
+
+	// The state the writer leaves behind at the end of a round.
+	var steal, drop bool
+	mac := dstMAC
+	mac[5] = 1
+	stealP, dst := packet.MustPrefix("10.2.0.0/25"), packet.MustPrefix("10.2.0.0/24")
+	flip := func(what int) {
+		switch what {
+		case 0:
+			if steal = !steal; steal {
+				r.AddRoute(fib.Route{Prefix: stealP, Gateway: packet.MustAddr("10.3.0.1"), OutIf: r2.Index})
+			} else {
+				r.DelRoute(stealP)
+			}
+		case 1:
+			if drop = !drop; drop {
+				r.IptAppend("FORWARD", netfilter.Rule{Match: netfilter.Match{Dst: &dst}, Target: netfilter.VerdictDrop})
+			} else {
+				r.IptFlush("FORWARD")
+			}
+		case 2:
+			mac[4] ^= 0x10
+			r.AddNeigh("eth1", packet.MustAddr("10.2.0.1"), mac)
+		}
+	}
+	want := func() seen {
+		switch {
+		case drop:
+			return seen{}
+		case steal:
+			return seen{r2.Index, packet.MustHWAddr("02:00:00:00:03:01")}
+		}
+		return seen{r1.Index, mac}
+	}
+
+	var round atomic.Int64 // odd while the writer is flipping
+	var injected atomic.Int64
+	var expect atomic.Pointer[seen]
+	var acks sync.WaitGroup
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m := sim.Meter{CPU: w}
+			inject := func() seen {
+				last[w] = seen{}
+				r.DeliverFrame(r0, fwdFrame(r0.MAC, srcMAC, packet.MustAddr("10.1.0.1"), packet.MustAddr("10.2.0.1"), 777, 9), &m)
+				injected.Add(1)
+				return last[w]
+			}
+			checked := int64(0)
+			for {
+				switch at := round.Load(); {
+				case at < 0:
+					return
+				case at == checked:
+					runtime.Gosched() // waiting for the other CPUs' checks
+				case at%2 == 1:
+					inject() // racing the writer: whatever this memoizes may already be stale
+					runtime.Gosched()
+				default:
+					// The first frame may not use what the race memoized; the
+					// second may use what the first did.
+					for i := 0; i < 2; i++ {
+						if got, exp := inject(), *expect.Load(); got != exp {
+							t.Errorf("round %d cpu %d: frame went %+v, the state left behind says %+v", at/2, w, got, exp)
+						}
+					}
+					checked = at
+					acks.Done()
+				}
+			}
+		}(w)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := int64(0); i < 1000 && !t.Failed(); i++ {
+		round.Store(2*i + 1)
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			// Let frames through between flips, so each flip has readers in flight.
+			for seen := injected.Load(); injected.Load() < seen+workers; {
+				runtime.Gosched()
+			}
+			flip(rng.Intn(3))
+		}
+		exp := want()
+		expect.Store(&exp)
+		acks.Add(workers)
+		round.Store(2*i + 2)
+		acks.Wait()
+	}
+	round.Store(-1)
+	wg.Wait()
+	if s := r.Stats(); s.FlowHits == 0 {
+		t.Errorf("the flow cache never hit: %+v", s)
 	}
 }
 

@@ -60,13 +60,32 @@ type Entry struct {
 	Confirmed sim.Time // last confirmation time
 }
 
+// aged returns the entry as it stands at now: a REACHABLE binding last
+// confirmed more than ReachableTime ago is STALE. Ageing is a function of the
+// stored entry and the clock, never a write, so readers need no lock.
+func (e Entry) aged(now sim.Time) Entry {
+	if e.State == Reachable && now.Sub(e.Confirmed) > sim.Duration(ReachableTime) {
+		e.State = Stale
+	}
+	return e
+}
+
 // Table is the neighbour table for one namespace. It is safe for concurrent
-// use.
+// use. Writers update the locked map and then bump the generation; Lookup
+// and the Resolved pair read a by-value copy of the map, which the first
+// reader after a bump rebuilds, and take no lock otherwise.
 type Table struct {
 	mu      sync.RWMutex
 	entries map[packet.Addr]*Entry
 	pending map[packet.Addr][][]byte // frames awaiting resolution
-	gen     atomic.Uint64            // bumped on every binding change
+	gen     atomic.Uint64            // bumped, under mu, after every binding change
+	snap    atomic.Pointer[view]     // what Lookup reads
+}
+
+// view is an immutable copy of the bindings as of one generation.
+type view struct {
+	gen     uint64
+	entries map[packet.Addr]Entry
 }
 
 // Gen reports the table generation, bumped whenever a binding is installed,
@@ -82,19 +101,31 @@ func NewTable() *Table {
 	}
 }
 
-// Lookup returns the entry for ip, applying aging against now: a REACHABLE
-// entry past ReachableTime is downgraded to STALE first.
-func (t *Table) Lookup(ip packet.Addr, now sim.Time) (Entry, bool) {
+// current returns the view of the live generation, copying the map if a
+// writer has bumped the generation since the last copy.
+func (t *Table) current() *view {
+	if v := t.snap.Load(); v != nil && v.gen == t.gen.Load() {
+		return v
+	}
+	// Writers bump under the lock, so under it map and generation agree.
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.entries[ip]
-	if !ok {
-		return Entry{}, false
+	gen := t.gen.Load()
+	if v := t.snap.Load(); v != nil && v.gen == gen {
+		return v
 	}
-	if e.State == Reachable && now.Sub(e.Confirmed) > sim.Duration(ReachableTime) {
-		e.State = Stale
+	v := &view{gen: gen, entries: make(map[packet.Addr]Entry, len(t.entries))}
+	for ip, e := range t.entries {
+		v.entries[ip] = *e
 	}
-	return *e, true
+	t.snap.Store(v)
+	return v
+}
+
+// Lookup returns the entry for ip as it stands at now (see Entry.aged).
+func (t *Table) Lookup(ip packet.Addr, now sim.Time) (Entry, bool) {
+	e, ok := t.current().entries[ip]
+	return e.aged(now), ok
 }
 
 // Resolved returns the usable MAC for ip if the entry is in a state the fast
@@ -114,8 +145,8 @@ const NeverExpires = sim.Time(math.MaxInt64)
 // ResolvedFull is Resolved plus the virtual time at which the binding stops
 // being usable by a fast path (REACHABLE entries age out after
 // ReachableTime; PERMANENT entries never do). A flow cache storing the MAC
-// must re-validate once now passes the expiry — the same lazy aging
-// Resolved applies, enforced outside the table lock.
+// must re-validate once now passes the expiry — the same ageing Resolved
+// applies.
 func (t *Table) ResolvedFull(ip packet.Addr, now sim.Time) (packet.HWAddr, sim.Time, bool) {
 	e, ok := t.Lookup(ip, now)
 	if !ok {
@@ -200,13 +231,14 @@ func (t *Table) StartResolution(ip packet.Addr, ifIndex int, frame []byte) (firs
 	return first, queued
 }
 
-// Entries returns a snapshot of all bindings in unspecified order.
-func (t *Table) Entries() []Entry {
+// Entries returns a snapshot of all bindings as they stand at now, in
+// unspecified order.
+func (t *Table) Entries(now sim.Time) []Entry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]Entry, 0, len(t.entries))
 	for _, e := range t.entries {
-		out = append(out, *e)
+		out = append(out, e.aged(now))
 	}
 	return out
 }

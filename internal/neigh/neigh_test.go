@@ -35,9 +35,20 @@ func TestAgingToStale(t *testing.T) {
 	if e.State != Reachable {
 		t.Fatalf("should still be reachable: %v", e.State)
 	}
+	// The boundary itself is still inside the window.
+	if e, _ = tb.Lookup(ip1, sim.Time(ReachableTime)); e.State != Reachable {
+		t.Fatalf("at exactly ReachableTime: %v", e.State)
+	}
+	if _, exp, ok := tb.ResolvedFull(ip1, sim.Time(ReachableTime)); !ok || exp != sim.Time(ReachableTime) {
+		t.Fatalf("expiry %v ok=%v, want the boundary", exp, ok)
+	}
 	e, _ = tb.Lookup(ip1, sim.Time(ReachableTime)+1)
 	if e.State != Stale {
 		t.Fatalf("should be stale: %v", e.State)
+	}
+	// Ageing is computed, not stored: an earlier clock still sees REACHABLE.
+	if e, _ = tb.Lookup(ip1, 5); e.State != Reachable {
+		t.Fatalf("a read aged the stored entry: %v", e.State)
 	}
 	// Stale entries are not usable by the fast path.
 	if _, ok := tb.Resolved(ip1, sim.Time(ReachableTime)+1); ok {
@@ -125,14 +136,14 @@ func TestEntriesSnapshot(t *testing.T) {
 	tb := NewTable()
 	tb.Confirm(ip1, mac1, 1, 0)
 	tb.AddPermanent(packet.MustAddr("10.0.0.2"), mac2, 1)
-	es := tb.Entries()
+	es := tb.Entries(0)
 	if len(es) != 2 {
 		t.Fatalf("entries %d", len(es))
 	}
 	// Mutating the snapshot must not affect the table.
 	es[0].MAC = packet.HWAddr{}
 	found := 0
-	for _, e := range tb.Entries() {
+	for _, e := range tb.Entries(0) {
 		if e.MAC == mac1 || e.MAC == mac2 {
 			found++
 		}

@@ -16,9 +16,16 @@ type IPSet struct {
 	Name string
 	Type string // "hash:ip" or "hash:net"
 
-	mu      sync.RWMutex
-	byBits  map[int]map[packet.Addr]bool // prefix length -> masked addr set
-	bitsAsc []int                        // distinct lengths, ascending
+	mu     sync.RWMutex
+	levels []setLevel // one per distinct prefix length, ascending
+}
+
+// setLevel is the members of one prefix length, keyed by masked address; the
+// netmask is kept so a probe computes nothing but the AND.
+type setLevel struct {
+	bits    int
+	mask    packet.Addr
+	members map[packet.Addr]bool
 }
 
 // NewIPSet creates a set of the given type ("hash:ip" or "hash:net").
@@ -26,7 +33,14 @@ func NewIPSet(name, typ string) (*IPSet, error) {
 	if typ != "hash:ip" && typ != "hash:net" {
 		return nil, fmt.Errorf("netfilter: unsupported set type %q", typ)
 	}
-	return &IPSet{Name: name, Type: typ, byBits: make(map[int]map[packet.Addr]bool)}, nil
+	return &IPSet{Name: name, Type: typ}, nil
+}
+
+// level returns the index of the level holding bits-long prefixes, or where
+// it would be inserted. Caller holds mu.
+func (s *IPSet) level(bits int) (int, bool) {
+	i := sort.Search(len(s.levels), func(i int) bool { return s.levels[i].bits >= bits })
+	return i, i < len(s.levels) && s.levels[i].bits == bits
 }
 
 // Add inserts a prefix (a /32 for hash:ip sets).
@@ -37,14 +51,13 @@ func (s *IPSet) Add(p packet.Prefix) error {
 	p = p.Masked()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.byBits[p.Bits]
+	i, ok := s.level(p.Bits)
 	if !ok {
-		m = make(map[packet.Addr]bool)
-		s.byBits[p.Bits] = m
-		s.bitsAsc = append(s.bitsAsc, p.Bits)
-		sort.Ints(s.bitsAsc)
+		s.levels = append(s.levels, setLevel{})
+		copy(s.levels[i+1:], s.levels[i:])
+		s.levels[i] = setLevel{bits: p.Bits, mask: p.Mask(), members: make(map[packet.Addr]bool)}
 	}
-	m[p.Addr] = true
+	s.levels[i].members[p.Addr] = true
 	return nil
 }
 
@@ -53,11 +66,11 @@ func (s *IPSet) Del(p packet.Prefix) bool {
 	p = p.Masked()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.byBits[p.Bits]
-	if !ok || !m[p.Addr] {
+	i, ok := s.level(p.Bits)
+	if !ok || !s.levels[i].members[p.Addr] {
 		return false
 	}
-	delete(m, p.Addr)
+	delete(s.levels[i].members, p.Addr)
 	return true
 }
 
@@ -67,10 +80,8 @@ func (s *IPSet) Contains(addr packet.Addr) bool {
 	defer s.mu.RUnlock()
 	// Probe longest prefixes first, like the kernel (most specific wins;
 	// for plain membership any hit suffices).
-	for i := len(s.bitsAsc) - 1; i >= 0; i-- {
-		bits := s.bitsAsc[i]
-		masked := addr & packet.Prefix{Bits: bits}.Mask()
-		if s.byBits[bits][masked] {
+	for i := len(s.levels) - 1; i >= 0; i-- {
+		if l := &s.levels[i]; l.members[addr&l.mask] {
 			return true
 		}
 	}
@@ -82,8 +93,8 @@ func (s *IPSet) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, m := range s.byBits {
-		n += len(m)
+	for _, l := range s.levels {
+		n += len(l.members)
 	}
 	return n
 }
@@ -93,9 +104,9 @@ func (s *IPSet) Members() []packet.Prefix {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []packet.Prefix
-	for bits, m := range s.byBits {
-		for a := range m {
-			out = append(out, packet.Prefix{Addr: a, Bits: bits})
+	for _, l := range s.levels {
+		for a := range l.members {
+			out = append(out, packet.Prefix{Addr: a, Bits: l.bits})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -131,12 +142,16 @@ func (nf *Netfilter) Set(name string) (*IPSet, bool) {
 	return s, ok
 }
 
-// DestroySet removes a named set (ipset destroy).
+// DestroySet removes a named set (ipset destroy). Rules that name it stop
+// matching: the generation bump retires every snapshot that resolved it.
 func (nf *Netfilter) DestroySet(name string) bool {
 	nf.mu.Lock()
 	defer nf.mu.Unlock()
 	_, ok := nf.sets[name]
 	delete(nf.sets, name)
+	if ok {
+		nf.gen.Add(1)
+	}
 	return ok
 }
 

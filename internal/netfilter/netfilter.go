@@ -31,6 +31,8 @@ const (
 	HookPostrouting
 )
 
+func (h Hook) valid() bool { return h >= HookPrerouting && h <= HookPostrouting }
+
 func (h Hook) String() string {
 	switch h {
 	case HookPrerouting:
@@ -143,11 +145,11 @@ var ErrNoChain = errors.New("netfilter: no such chain")
 // Netfilter is the filtering state of one namespace: the filter table's
 // chains, named ipsets, and the conntrack table.
 type Netfilter struct {
-	mu     sync.RWMutex
-	chains map[string]*Chain
-	hooks  map[Hook]string // hook -> built-in chain name
-	sets   map[string]*IPSet
-	gen    atomic.Uint64 // bumped on ruleset changes
+	mu       sync.RWMutex
+	chains   map[string]*Chain // a hook's built-in chain is chains[hook.String()]
+	sets     map[string]*IPSet
+	gen      atomic.Uint64           // bumped, under mu, after every ruleset change
+	compiled atomic.Pointer[ruleset] // what packets evaluate; see compile.go
 
 	Conntrack *Conntrack
 }
@@ -162,22 +164,15 @@ func (nf *Netfilter) Gen() uint64 { return nf.gen.Load() }
 // ACCEPT policy and no rules — the state of a fresh kernel.
 func New() *Netfilter {
 	nf := &Netfilter{
-		chains: make(map[string]*Chain),
-		hooks: map[Hook]string{
-			HookPrerouting:  "PREROUTING",
-			HookInput:       "INPUT",
-			HookForward:     "FORWARD",
-			HookOutput:      "OUTPUT",
-			HookPostrouting: "POSTROUTING",
-		},
+		chains:    make(map[string]*Chain),
 		sets:      make(map[string]*IPSet),
 		Conntrack: NewConntrack(),
 	}
 	// The model merges the filter and nat tables into one five-chain view:
 	// PREROUTING/POSTROUTING exist so kube-proxy-style plumbing has its
 	// real per-packet cost.
-	for _, name := range []string{"PREROUTING", "INPUT", "FORWARD", "OUTPUT", "POSTROUTING"} {
-		nf.chains[name] = &Chain{Name: name, Policy: VerdictAccept, BuiltIn: true}
+	for h := HookPrerouting; h <= HookPostrouting; h++ {
+		nf.chains[h.String()] = &Chain{Name: h.String(), Policy: VerdictAccept, BuiltIn: true}
 	}
 	return nf
 }
@@ -309,24 +304,10 @@ func (nf *Netfilter) RuleCount(chain string) int {
 	return len(c.Rules)
 }
 
-// CTRequired reports whether any rule matches on conntrack state — only
-// then does the stack pay for connection tracking (Linux loads nf_conntrack
-// on demand the same way).
+// CTRequired reports whether any rule matches on conntrack state, as of the
+// current generation (Compiled.CTRequired).
 func (nf *Netfilter) CTRequired() bool {
-	nf.mu.RLock()
-	defer nf.mu.RUnlock()
-	return nf.ctRequiredLocked()
-}
-
-func (nf *Netfilter) ctRequiredLocked() bool {
-	for _, c := range nf.chains {
-		for _, r := range c.Rules {
-			if r.Match.CTState != 0 {
-				return true
-			}
-		}
-	}
-	return false
+	return nf.current().hooks[HookPrerouting].CTRequired
 }
 
 // HasTerminalDrop reports whether a chain (or a chain it jumps to) can
@@ -369,104 +350,8 @@ func (nf *Netfilter) TotalRules() int {
 }
 
 // EvaluateHook runs the chain registered at the hook against the packet,
-// returning the final verdict and work counts. Hooks with no registered
-// chain (PREROUTING/POSTROUTING in the plain filter table) accept for free.
+// returning the final verdict and work counts. A value that is not one of
+// the five hooks accepts for free.
 func (nf *Netfilter) EvaluateHook(h Hook, m *Meta) (Verdict, EvalStats) {
-	nf.mu.RLock()
-	defer nf.mu.RUnlock()
-	name, ok := nf.hooks[h]
-	if !ok {
-		return VerdictAccept, EvalStats{}
-	}
-	var st EvalStats
-	v := nf.evalChainLocked(nf.chains[name], m, &st, 0)
-	if v == VerdictNone || v == VerdictReturn {
-		v = nf.chains[name].Policy
-	}
-	return v, st
-}
-
-func (nf *Netfilter) evalChainLocked(c *Chain, m *Meta, st *EvalStats, depth int) Verdict {
-	if c == nil || depth > maxJumpDepth {
-		return VerdictNone
-	}
-	for _, r := range c.Rules {
-		st.RulesEvaluated++
-		if !nf.matchLocked(&r.Match, m, st) {
-			continue
-		}
-		// Hit counters are atomic: evaluations run concurrently under the
-		// read lock (one per RX queue on the batched XDP path).
-		atomic.AddUint64(&r.Packets, 1)
-		if r.Jump != "" {
-			v := nf.evalChainLocked(nf.chains[r.Jump], m, st, depth+1)
-			if v == VerdictAccept || v == VerdictDrop {
-				return v
-			}
-			continue // RETURN or fell off the end: resume this chain
-		}
-		if r.Target == VerdictReturn {
-			return VerdictReturn
-		}
-		if r.Target != VerdictNone {
-			return r.Target
-		}
-	}
-	return VerdictNone
-}
-
-func (nf *Netfilter) matchLocked(mt *Match, m *Meta, st *EvalStats) bool {
-	if !matchMeta(mt, m) {
-		return false
-	}
-	if mt.SrcSet != "" {
-		st.SetProbes++
-		s, ok := nf.sets[mt.SrcSet]
-		if !ok || !s.Contains(m.Src) {
-			return false
-		}
-	}
-	if mt.DstSet != "" {
-		st.SetProbes++
-		s, ok := nf.sets[mt.DstSet]
-		if !ok || !s.Contains(m.Dst) {
-			return false
-		}
-	}
-	return true
-}
-
-// matchMeta checks every non-set criterion of mt against m. Shared between
-// the interpreted evaluator and the compiled snapshot path so the two can
-// never diverge on match semantics.
-func matchMeta(mt *Match, m *Meta) bool {
-	if mt.Proto != 0 && mt.Proto != m.Proto {
-		return false
-	}
-	if mt.Src != nil && !mt.Src.Contains(m.Src) {
-		return false
-	}
-	if mt.Dst != nil && !mt.Dst.Contains(m.Dst) {
-		return false
-	}
-	// Port matches never apply to non-first fragments: L4 header is absent.
-	if (mt.SrcPort != 0 || mt.DstPort != 0) && m.Fragment {
-		return false
-	}
-	if mt.SrcPort != 0 && mt.SrcPort != m.SrcPort {
-		return false
-	}
-	if mt.DstPort != 0 && mt.DstPort != m.DstPort {
-		return false
-	}
-	if mt.InIf != 0 && mt.InIf != m.InIf {
-		return false
-	}
-	if mt.OutIf != 0 && mt.OutIf != m.OutIf {
-		return false
-	}
-	if mt.CTState != 0 && mt.CTState != m.CTState {
-		return false
-	}
-	return true
+	return nf.Snapshot(h).Evaluate(m)
 }

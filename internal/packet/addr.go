@@ -104,17 +104,18 @@ func (a Addr) String() string {
 
 // ParseAddr parses dotted-quad notation.
 func ParseAddr(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("packet: bad IPv4 address %q", s)
-	}
 	var a Addr
-	for _, p := range parts {
-		v, err := strconv.ParseUint(p, 10, 8)
+	rest := s
+	for i := 0; i < 4; i++ {
+		part, tail, more := strings.Cut(rest, ".")
+		if more != (i < 3) {
+			return 0, fmt.Errorf("packet: bad IPv4 address %q", s)
+		}
+		v, err := strconv.ParseUint(part, 10, 8)
 		if err != nil {
 			return 0, fmt.Errorf("packet: bad IPv4 address %q: %w", s, err)
 		}
-		a = a<<8 | Addr(v)
+		a, rest = a<<8|Addr(v), tail
 	}
 	return a, nil
 }
@@ -175,7 +176,7 @@ func (p Prefix) Masked() Prefix {
 
 // Contains reports whether the address falls inside the prefix.
 func (p Prefix) Contains(a Addr) bool {
-	return a&p.Mask() == p.Addr&p.Mask()
+	return (a^p.Addr)&p.Mask() == 0
 }
 
 func (p Prefix) String() string {

@@ -265,7 +265,7 @@ func (s *Shell) ipRoute(args []string) (string, error) {
 func (s *Shell) ipNeigh(args []string) (string, error) {
 	if len(args) == 0 || args[0] == "show" {
 		var b strings.Builder
-		for _, e := range s.k.Neigh.Entries() {
+		for _, e := range s.k.Neigh.Entries(s.k.Now()) {
 			dev := ""
 			if d, ok := s.k.DeviceByIndex(e.IfIndex); ok {
 				dev = d.Name
