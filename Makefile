@@ -33,8 +33,10 @@ race:
 ## miss, socket-to-socket splice) ride along in internal/kernel. The
 ## benchmarks where bytes dominate ride along too: the GRO on/off pairs at
 ## 128 B and at one MSS (BenchmarkRealLinuxGRO*), the checksum at 20/64/1448
-## B and the 16 x 1448 B GSO split (internal/packet), and the test pinning
-## allocations per flushed supersegment (the GRO hold grows at most once).
+## B and the 16 x 1448 B GSO split (internal/packet), the test pinning zero
+## allocations per forwarded supersegment (forward, TC redirect, unresolved
+## neighbour), and the seed corpora of every fuzz target (GSO into the
+## original frames, the split, the checksum, the netfilter evaluator).
 ## The lock-free read side rides along as well: the 100-rule chain through
 ## hook and pinned snapshot, serial and parallel (internal/netfilter), the
 ## parallel FIB and neighbour lookups (internal/fib, internal/neigh), and the
@@ -43,6 +45,7 @@ bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRealForward|BenchmarkRealLinuxFPFastPath|BenchmarkRealLinuxGRO' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/ebpf/ ./internal/netdev/ ./internal/kernel/ ./internal/steer/ ./internal/packet/ ./internal/netfilter/ ./internal/fib/ ./internal/neigh/ ./internal/shell/
 	$(GO) test -run TestGROSupersegmentAllocs -count 1 ./internal/kernel/
+	$(GO) test -run Fuzz -count 1 ./internal/packet/ ./internal/netfilter/
 
 ## obs-smoke: one lfptop frame (drop reasons + ring buffer + stage latency,
 ## with the Prometheus snapshot appended) and a linuxfpd run with -metrics,

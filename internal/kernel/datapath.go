@@ -607,7 +607,7 @@ func (k *Kernel) finishOutput(out *netdev.Device, nexthop packet.Addr, frame []b
 
 	// POSTROUTING runs on every output once rules exist there (NAT
 	// plumbing); empty chains cost nothing, like the kernel's static keys.
-	if k.NF.RuleCount("POSTROUTING") > 0 {
+	if k.NF.Snapshot(netfilter.HookPostrouting).Rules(netfilter.HookPostrouting) > 0 {
 		if pkt, err := packet.Decode(frame); err == nil && pkt.IPv4 != nil {
 			meta := k.buildMeta(out, pkt)
 			meta.OutIf = out.Index

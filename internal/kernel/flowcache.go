@@ -22,6 +22,7 @@ import (
 
 	"linuxfp/internal/bridge"
 	"linuxfp/internal/netdev"
+	"linuxfp/internal/netfilter"
 	"linuxfp/internal/packet"
 	"linuxfp/internal/sim"
 )
@@ -184,8 +185,9 @@ func (k *Kernel) flowInstall(frame []byte, out *netdev.Device, dstMAC packet.HWA
 // packets, because a cache hit skips all of it. Any later change to these
 // conditions bumps a generation and evicts.
 func (k *Kernel) flowFillEligible(out *netdev.Device) bool {
-	if k.NF.RuleCount("PREROUTING") > 0 || k.NF.RuleCount("FORWARD") > 0 ||
-		k.NF.RuleCount("POSTROUTING") > 0 || k.NF.CTRequired() {
+	cp := k.NF.Snapshot(netfilter.HookForward)
+	if cp.Rules(netfilter.HookPrerouting) > 0 || cp.Rules(netfilter.HookForward) > 0 ||
+		cp.Rules(netfilter.HookPostrouting) > 0 || cp.CTRequired {
 		return false
 	}
 	if k.IPVSActive() {

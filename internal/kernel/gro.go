@@ -44,17 +44,31 @@ type gsoMeta struct {
 	size    int // payload bytes per output segment
 	segs    int // coalesced segment count
 	pshLast bool
-	// sums[:segs] are the merged segments' payload sums as GRO verified them,
-	// for SegmentTCPSums; nil on singles.
-	sums *[GROMaxSegs]uint16
+	sup     *groSuper // nil on singles
 }
 
-// paySums is what SegmentTCPSums takes: nil when nothing was carried.
-func (g gsoMeta) paySums() []uint16 {
-	if g.sums == nil {
-		return nil
+// groSuper is a supersegment: the linear copy the stack walks, plus the RX
+// frames it was built from and their verified payload sums. Only a super
+// GSO re-emitted is recycled: a socket may keep a delivered one's payload.
+type groSuper struct {
+	owner   *groCtx
+	buf     []byte
+	sums    [GROMaxSegs]uint16
+	frames  [GROMaxSegs][]byte
+	emitted bool // GSO wrote it out: recyclable once the stack walk is over
+}
+
+// segments re-emits the super as its RX frames under the stack's headers (or,
+// reshaped past them, as fresh frames), aliased until deliverOuts recycles it.
+func (g gsoMeta) segments(super []byte, l3, l4 int, m *sim.Meter) [][]byte {
+	s := g.sup
+	s.emitted = true
+	segs := s.frames[:g.segs]
+	if !packet.ResegmentTCPInto(super, l3, l4, g.size, g.pshLast, s.sums[:g.segs], segs) {
+		segs = packet.SegmentTCP(super, l3, l4, g.size, g.pshLast)
 	}
-	return g.sums[:g.segs]
+	m.Charge(sim.CostGSOSegment * sim.Cycles(len(segs)))
+	return segs
 }
 
 // groOut is one frame the GRO layer emits into the stack: a passthrough
@@ -75,17 +89,15 @@ var groBatchPool = sync.Pool{New: func() any {
 // groHold is one in-progress coalesce: the supersegment under construction
 // plus the expectations the next in-order segment must meet.
 type groHold struct {
-	buf     []byte
+	sup     *groSuper
 	dev     *netdev.Device
 	l3, l4  int
 	gsoSize int // payload length of the first segment: the split size
 	segs    int
 	pshLast bool
 	// paySum is the running one's-complement sum of the payload held so far
-	// (each piece placed with packet.SumAt); sums keeps the per-segment
-	// values, allocated with the first merge.
+	// (each piece placed with packet.SumAt); sup.sums keeps each segment's.
 	paySum uint32
-	sums   *[GROMaxSegs]uint16
 
 	src, dst     packet.Addr
 	sport, dport uint16
@@ -98,9 +110,9 @@ type groHold struct {
 	deadline sim.Time // gro_flush_timeout expiry; 0 = flush at poll end
 
 	// fl is the flight chain riding the hold: the first sampled segment's
-	// chain, with every later sampled segment's trace ID folded in. The hold
-	// copies frames into its own buffer, so the chain detaches from the
-	// original frame address here and reattaches to the supersegment at flush.
+	// chain, with every later sampled segment's trace ID folded in. It
+	// detaches from the frame address here and reattaches to the address
+	// the supersegment leaves from at flush.
 	fl *flight.Chain
 }
 
@@ -112,6 +124,14 @@ type groCtx struct {
 	holds  [groMaxHolds]groHold
 	active int
 	seq    uint64
+	free   []*groSuper // at most groMaxHolds; GROFlushAll returns them too
+}
+
+// putSuper keeps a supersegment for reuse, its frame references dropped.
+func (ctx *groCtx) putSuper(s *groSuper) {
+	if *s = (groSuper{owner: ctx, buf: s.buf}); len(ctx.free) < groMaxHolds {
+		ctx.free = append(ctx.free, s)
+	}
 }
 
 // groCtxFor returns (lazily allocating) the GRO context for the meter's CPU.
@@ -261,17 +281,20 @@ func (ctx *groCtx) receive(k *Kernel, dev *netdev.Device, frame []byte, now sim.
 		// carries every sampled segment's trace ID forward.
 		h.fl = fr.Fold(h.fl, frame, m)
 	}
+	s := h.sup
 	if h.segs == 1 {
-		// First merge: grow once to the most this hold can come to hold, so
-		// no later append reallocates.
-		grown := make([]byte, len(h.buf), min(len(h.buf)+(GROMaxSegs-1)*h.gsoSize, h.l3+groMaxSuperLen))
-		copy(grown, h.buf)
-		h.buf = grown
-		h.sums = &[GROMaxSegs]uint16{uint16(h.paySum)}
+		// First merge: linearise, into a buffer holding the most this hold
+		// can come to hold, so no later append reallocates.
+		if need := min(len(s.frames[0])+(GROMaxSegs-1)*h.gsoSize, h.l3+groMaxSuperLen); cap(s.buf) < need {
+			s.buf = make([]byte, 0, need)
+		}
+		s.buf = append(s.buf[:0], s.frames[0]...)
+		s.sums[0] = uint16(h.paySum)
 	}
 	h.paySum += uint32(packet.SumAt(c.paySum, h.segs*h.gsoSize))
-	h.sums[h.segs] = c.paySum
-	h.buf = append(h.buf, c.payload...)
+	s.sums[h.segs] = c.paySum
+	s.frames[h.segs] = frame
+	s.buf = append(s.buf, c.payload...)
 	h.segs++
 	h.nextSeq += uint32(len(c.payload))
 	h.nextID++
@@ -306,7 +329,8 @@ func (h *groHold) canAppend(frame []byte, c *groCand) bool {
 	if c.l3 != h.l3 || h.segs >= GROMaxSegs {
 		return false
 	}
-	if len(h.buf)-h.l3+len(c.payload) > groMaxSuperLen {
+	// Every held segment is gsoSize long: a shorter one ends the hold.
+	if h.l4+packet.TCPHdrLen-h.l3+h.segs*h.gsoSize+len(c.payload) > groMaxSuperLen {
 		return false
 	}
 	if len(c.payload) > h.gsoSize {
@@ -317,20 +341,21 @@ func (h *groHold) canAppend(frame []byte, c *groCand) bool {
 	}
 	// L2 headers and the invariant IP fields must match byte for byte:
 	// MACs/ethertype (and any VLAN tag), then TOS, flags/frag-off (DF), TTL.
-	if !bytes.Equal(frame[:h.l3], h.buf[:h.l3]) {
+	first := h.sup.frames[0]
+	if !bytes.Equal(frame[:h.l3], first[:h.l3]) {
 		return false
 	}
-	if frame[h.l3+1] != h.buf[h.l3+1] ||
-		frame[h.l3+6] != h.buf[h.l3+6] || frame[h.l3+7] != h.buf[h.l3+7] ||
-		frame[h.l3+8] != h.buf[h.l3+8] {
+	if frame[h.l3+1] != first[h.l3+1] ||
+		frame[h.l3+6] != first[h.l3+6] || frame[h.l3+7] != first[h.l3+7] ||
+		frame[h.l3+8] != first[h.l3+8] {
 		return false
 	}
 	return true
 }
 
 // start opens a new hold for the candidate, evicting the oldest hold when
-// the table is full (MAX_GRO_SKBS). The frame is copied: the hold owns its
-// supersegment buffer and hands it off at flush.
+// the table is full (MAX_GRO_SKBS). The frame is not copied: the hold keeps
+// it, and every frame merged after it, until the supersegment is re-emitted.
 func (ctx *groCtx) start(k *Kernel, dev *netdev.Device, frame []byte, c *groCand, now sim.Time, to int64, outs []groOut, m *sim.Meter) []groOut {
 	slot := -1
 	for i := range ctx.holds {
@@ -353,13 +378,19 @@ func (ctx *groCtx) start(k *Kernel, dev *netdev.Device, frame []byte, c *groCand
 	h := &ctx.holds[slot]
 	var fl *flight.Chain
 	if fr := k.flight.Load(); fr != nil {
-		// The hold owns a private copy of the frame; the chain detaches from
-		// the dying original address and parks on the hold until flush.
+		// The chain parks on the hold, off the frame's address, until flush.
 		fl = fr.Detach(frame, m)
 	}
+	var sup *groSuper
+	if n := len(ctx.free); n > 0 {
+		sup, ctx.free = ctx.free[n-1], ctx.free[:n-1]
+	} else {
+		sup = &groSuper{owner: ctx}
+	}
+	sup.frames[0] = frame
 	*h = groHold{
 		fl:      fl,
-		buf:     append([]byte(nil), frame...),
+		sup:     sup,
 		dev:     dev,
 		l3:      c.l3,
 		l4:      c.l4,
@@ -381,12 +412,16 @@ func (ctx *groCtx) start(k *Kernel, dev *netdev.Device, frame []byte, c *groCand
 }
 
 // flushHold finalizes a hold into an emitted frame: a single passes through
-// byte-identical; a supersegment gets its IP total length patched
+// as the original frame; a supersegment gets its IP total length patched
 // (incremental checksum), the PSH bit restored when the last merged segment
 // carried it, and its TCP checksum built from the 20 header bytes and the
 // payload sum carried since groParse — the merged payload is not read again.
 func (ctx *groCtx) flushHold(k *Kernel, h *groHold, outs []groOut, m *sim.Meter) []groOut {
-	out := groOut{frame: h.buf, dev: h.dev, gso: gsoMeta{size: h.gsoSize, segs: h.segs, pshLast: h.pshLast, sums: h.sums}}
+	out := groOut{frame: h.sup.buf, dev: h.dev, gso: gsoMeta{size: h.gsoSize, segs: h.segs, pshLast: h.pshLast, sup: h.sup}}
+	if h.segs == 1 {
+		out.frame, out.gso.sup = h.sup.frames[0], nil
+		ctx.putSuper(h.sup)
+	}
 	if h.fl != nil {
 		// The held chain registers under the flushed frame's address, still
 		// parked; the downstream Enter stamps the resume span.
@@ -512,7 +547,8 @@ var tcPollScratchPool = sync.Pool{New: func() any { return new(tcPollScratch) }}
 
 // deliverOuts feeds GRO-emitted frames into the stack, splitting the slice
 // into same-device runs (mixed devices only arise from timeout/teardown
-// flushes) so each run can use the batched TC path.
+// flushes) so each run can use the batched TC path. Supersegments GSO
+// re-emitted are recycled once every walk, flight windows included, is over.
 func (k *Kernel) deliverOuts(outs []groOut, decomposed bool, m *sim.Meter, sc *rxScratch) {
 	for start := 0; start < len(outs); {
 		end := start + 1
@@ -521,6 +557,13 @@ func (k *Kernel) deliverOuts(outs []groOut, decomposed bool, m *sim.Meter, sc *r
 		}
 		k.deliverRun(outs[start].dev, outs[start:end], decomposed, m, sc)
 		start = end
+	}
+	for i := 0; decomposed && i < len(outs); i++ {
+		if s := outs[i].gso.sup; s != nil && s.emitted {
+			s.owner.mu.Lock() // another shard's, after a GROFlushAll
+			s.owner.putSuper(s)
+			s.owner.mu.Unlock()
+		}
 	}
 }
 
@@ -624,9 +667,7 @@ func (k *Kernel) deliverRun(dev *netdev.Device, outs []groOut, decomposed bool, 
 						if fr != nil {
 							fr.SpanCur(m, flight.StageGSO, flight.VerdictNone)
 						}
-						segs := packet.SegmentTCPSums(skb.Data, l3, l3+packet.IPv4MinLen, o.gso.size, o.gso.pshLast, o.gso.paySums())
-						m.Charge(sim.CostGSOSegment * sim.Cycles(len(segs)))
-						tgt.TransmitBatch(segs, m)
+						tgt.TransmitBatch(o.gso.segments(skb.Data, l3, l3+packet.IPv4MinLen, m), m)
 					}
 					break
 				}
@@ -675,7 +716,7 @@ func (k *Kernel) gsoForward(dev, out *netdev.Device, nexthop packet.Addr, frame 
 	defer k.trace("gso_segment", m)()
 	now := k.Now()
 
-	if k.NF.RuleCount("POSTROUTING") > 0 {
+	if k.NF.Snapshot(netfilter.HookPostrouting).Rules(netfilter.HookPostrouting) > 0 {
 		if p2, err := packet.Decode(frame); err == nil && p2.IPv4 != nil {
 			meta := k.buildMeta(out, p2)
 			meta.OutIf = out.Index
@@ -691,23 +732,24 @@ func (k *Kernel) gsoForward(dev, out *netdev.Device, nexthop packet.Addr, frame 
 	mac, _, ok := k.Neigh.ResolvedFull(nexthop, now)
 	if !ok {
 		// The neighbour queue retains frames verbatim until the ARP reply
-		// flushes them — so queue wire-sized segments, never the super.
-		segs := packet.SegmentTCPSums(frame, l3, l4, gso.size, gso.pshLast, gso.paySums())
-		m.Charge(sim.CostGSOSegment * sim.Cycles(len(segs)))
+		// flushes them — so queue the wire frames, never the super.
+		segs := gso.segments(frame, l3, l4, m)
 		fr := k.flight.Load()
 		if fr != nil {
+			// The parked chain keys on the super's buffer: it is not reused.
+			gso.sup.emitted = fr.Cur(m) == nil
 			// The superseg's chain parks before any segment is published:
 			// the ARP-reply flush can run on another CPU the moment a
 			// segment hits the queue. Each segment aliases the chain — also
 			// pre-publication — so the flush finds it by key and closes it
 			// with a Tx terminal.
 			fr.ParkFrame(frame, flight.StageNeigh, m)
+			for _, s := range segs {
+				fr.InheritFrame(frame, s, m)
+			}
 		}
 		first, queuedAny := false, false
 		for _, s := range segs {
-			if fr != nil {
-				fr.InheritFrame(frame, s, m)
-			}
 			f, q := k.Neigh.StartResolution(nexthop, out.Index, s)
 			if f {
 				first = true
@@ -771,8 +813,7 @@ func (k *Kernel) gsoForward(dev, out *netdev.Device, nexthop packet.Addr, frame 
 // it returns true to tell the caller not to count the supersegment again.
 func (k *Kernel) gsoTransmit(dev, out *netdev.Device, nexthop packet.Addr, frame []byte, l3, l4 int, gso gsoMeta, m *sim.Meter) bool {
 	k.flightSpan(m, flight.StageGSO, flight.VerdictNone)
-	segs := packet.SegmentTCPSums(frame, l3, l4, gso.size, gso.pshLast, gso.paySums())
-	m.Charge(sim.CostGSOSegment * sim.Cycles(len(segs)))
+	segs := gso.segments(frame, l3, l4, m)
 	if l4-l3+packet.TCPHdrLen+gso.size <= out.MTU {
 		out.TransmitBatch(segs, m)
 		return false

@@ -136,6 +136,12 @@ func (k *Kernel) bumpSTPTx(m *sim.Meter) { k.ctr(m).stpTx.Add(1) }
 // instead of once per frame. With GRO off but a batch-capable TC program
 // attached, the burst still takes the batched TC runner. Either way frames
 // that neither coalesce nor batch fall back to the exact per-frame path.
+//
+// The frames belong to the stack until transmitted or dropped: GRO holds
+// keep them (across polls under gro_flush_timeout), so do the neighbour
+// queue and the cpumap/RPS rings, and GSO writes the post-stack headers of
+// a supersegment into the very frames it was merged from and transmits
+// those — no payload byte is copied on the way out.
 func (k *Kernel) DeliverBatch(dev *netdev.Device, frames [][]byte, m *sim.Meter) {
 	if len(frames) == 0 {
 		return

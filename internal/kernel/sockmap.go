@@ -29,6 +29,7 @@ import (
 	"linuxfp/internal/drop"
 	"linuxfp/internal/flight"
 	"linuxfp/internal/netdev"
+	"linuxfp/internal/netfilter"
 	"linuxfp/internal/packet"
 	"linuxfp/internal/sim"
 )
@@ -345,7 +346,8 @@ func (k *Kernel) sockInstall(t packet.FlowTuple, sock *Socket, gen uint64, m *si
 // because a hit skips all of it. Any later change bumps a generation folded
 // into skGen and evicts.
 func (k *Kernel) sockInstallEligible() bool {
-	if k.NF.RuleCount("PREROUTING") > 0 || k.NF.RuleCount("INPUT") > 0 || k.NF.CTRequired() {
+	cp := k.NF.Snapshot(netfilter.HookInput)
+	if cp.Rules(netfilter.HookPrerouting) > 0 || cp.Rules(netfilter.HookInput) > 0 || cp.CTRequired {
 		return false
 	}
 	return !k.IPVSActive()

@@ -856,6 +856,15 @@ func (d *Device) runXDPBatch(slot *xdpSlot, frames [][]byte, rxq, budget int, m 
 // bulk handoff of the PASS survivors into the stack. The frames slice is
 // compacted in place (XDP may consume entries), so the caller must not
 // reuse it afterwards.
+//
+// The frames themselves belong to the stack from here until they are
+// transmitted or dropped, as an skb does: the forward path rewrites their
+// headers in place, GRO holds keep them across polls (under
+// net.core.gro_flush_timeout), the neighbour queue and the cpumap/RPS rings
+// keep them, and GSO writes the supersegment's headers back into them. A
+// caller that recycles its buffers refills them only for a later burst, and
+// only when nothing can still hold them (no flush timeout, every neighbour
+// resolved).
 func (d *Device) ReceiveBatch(frames [][]byte, rxq int, m *sim.Meter) {
 	if len(frames) == 0 {
 		return

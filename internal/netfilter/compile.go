@@ -68,6 +68,8 @@ type Compiled struct {
 	// accepts. protos is the presence bitmap over the 8-bit protocol space.
 	protoSkip bool
 	protos    [4]uint64
+
+	rules [HookPostrouting + 1]int32 // rule count of every hook's built-in chain
 }
 
 // ruleset is what the atomic pointer publishes: one Compiled per hook, and at
@@ -118,12 +120,16 @@ func (nf *Netfilter) compileLocked(gen uint64) *ruleset {
 			ct = ct || r.Match.CTState != 0
 		}
 	}
+	var rules [HookPostrouting + 1]int32
+	for h := HookPrerouting; h <= HookPostrouting; h++ {
+		rules[h] = int32(len(nf.chains[h.String()].Rules))
+	}
 	rs := &ruleset{gen: gen}
-	rs.hooks[0] = Compiled{Gen: gen, Policy: VerdictAccept, CTRequired: ct, chains: chains, entry: int32(len(order))}
+	rs.hooks[0] = Compiled{Gen: gen, Policy: VerdictAccept, CTRequired: ct, rules: rules, chains: chains, entry: int32(len(order))}
 	for h := HookPrerouting; h <= HookPostrouting; h++ {
 		c := nf.chains[h.String()]
 		cp := &rs.hooks[h]
-		*cp = Compiled{Gen: gen, Policy: c.Policy, CTRequired: ct,
+		*cp = Compiled{Gen: gen, Policy: c.Policy, CTRequired: ct, rules: rules,
 			chains: chains, entry: index[c.Name], protoSkip: c.Policy != VerdictDrop}
 		for _, r := range c.Rules {
 			cp.jumps = cp.jumps || r.Jump != ""
@@ -196,6 +202,11 @@ func (nf *Netfilter) Compile(h Hook) (*Compiled, bool) {
 	cp := nf.Snapshot(h)
 	return cp, !cp.jumps
 }
+
+// Rules reports how many rules the built-in chain of hook h held at Gen: the
+// datapath's RuleCount, read from the snapshot instead of under the lock.
+// Every hook's snapshot carries all five counts, as it carries CTRequired.
+func (cp *Compiled) Rules(h Hook) int { return int(cp.rules[h]) }
 
 // CanSkipProto reports whether a packet of the given protocol can skip the
 // rule walk entirely with the accept outcome: no rule can match it and the

@@ -174,6 +174,15 @@ func (p *nfPair) check(n int) {
 	if got, want := p.dut.CTRequired(), p.ref.refCTRequired(); got != want {
 		p.t.Fatalf("CTRequired %v, reference %v", got, want)
 	}
+	// The snapshot's rule counts are the locked RuleCount of the same
+	// generation, whichever hook's snapshot the datapath reads them from.
+	for h := HookPrerouting; h <= HookPostrouting; h++ {
+		for src := Hook(0); src <= HookPostrouting; src++ {
+			if got, want := p.dut.Snapshot(src).Rules(h), p.ref.RuleCount(h.String()); got != want {
+				p.t.Fatalf("snapshot(%v).Rules(%v) = %d, RuleCount = %d", src, h, got, want)
+			}
+		}
+	}
 	for i := 0; i < n; i++ {
 		m := p.meta()
 		for h := HookPrerouting; h <= HookPostrouting; h++ {

@@ -122,46 +122,65 @@ func SegmentTCPSums(super []byte, l3, l4 int, mss int, pshLast bool, sums []uint
 	if len(super) < hdrLen {
 		return [][]byte{super}
 	}
-	payload := super[hdrLen:max(hdrLen, min(len(super), l3+int(IPv4TotalLen(super, l3))))]
-	if mss <= 0 || len(payload) <= mss {
-		mss = len(payload)
-	}
-	n := 1
-	if mss > 0 {
-		n = (len(payload) + mss - 1) / mss
+	payload, mss, n := segPlan(super, l3, hdrLen, mss)
+	backing := make([]byte, n*hdrLen+len(payload))
+	out, own := make([][]byte, n), make([]uint16, 0, 32)
+	for i := range out {
+		out[i] = backing[i*(hdrLen+mss):][:hdrLen+min(mss, len(payload)-i*mss)]
+		own = append(own, PartialSum(payload[i*mss:][:copy(out[i][hdrLen:], payload[i*mss:])]))
 	}
 	if len(sums) != n {
-		sums = nil
+		sums = own
 	}
-	backing := make([]byte, 0, n*hdrLen+len(payload))
-	out := make([][]byte, 0, n)
-	baseSeq := TCPSeq(super, l4)
-	baseID := IPv4ID(super, l3)
-	flags := TCPRawFlags(super, l4)
-	for i, off := 0, 0; i < n; i, off = i+1, off+mss {
-		end := min(off+mss, len(payload))
-		start := len(backing)
-		backing = append(backing, super[:hdrLen]...)
-		backing = append(backing, payload[off:end]...)
-		seg := backing[start:]
-		binary.BigEndian.PutUint16(seg[l3+2:l3+4], uint16(hdrLen-l3+(end-off)))
-		binary.BigEndian.PutUint16(seg[l3+4:l3+6], baseID+uint16(i))
-		binary.BigEndian.PutUint32(seg[l4+4:l4+8], baseSeq+uint32(off))
-		f := flags &^ TCPPsh
-		if i == n-1 && pshLast {
-			f |= TCPPsh
+	ResegmentTCPInto(super, l3, l4, mss, pshLast, sums, out)
+	return out
+}
+
+// ResegmentTCPInto is GSO into the frames the supersegment was coalesced
+// from, each holding its payload behind a header of the super's length: it
+// writes only headers (SegmentTCP's, checksummed from sums), so frames[i]
+// ends up equal to SegmentTCP's segment i. The payload must be what sums was
+// taken over. A frame count, frame length or sums length off the super's
+// split returns false with frames untouched.
+func ResegmentTCPInto(super []byte, l3, l4 int, mss int, pshLast bool, sums []uint16, frames [][]byte) bool {
+	hdrLen := l4 + TCPHdrLen
+	if len(super) < hdrLen {
+		return false
+	}
+	payload, mss, n := segPlan(super, l3, hdrLen, mss)
+	if len(frames) != n || len(sums) != n {
+		return false
+	}
+	for i, f := range frames {
+		if len(f) != hdrLen+min(mss, len(payload)-i*mss) {
+			return false
 		}
-		seg[l4+13] = byte(f)
+	}
+	baseSeq, baseID, flags := TCPSeq(super, l4), IPv4ID(super, l3), TCPRawFlags(super, l4)&^TCPPsh
+	for i, seg := range frames {
+		copy(seg, super[:hdrLen])
+		binary.BigEndian.PutUint16(seg[l3+2:l3+4], uint16(len(seg)-l3))
+		binary.BigEndian.PutUint16(seg[l3+4:l3+6], baseID+uint16(i))
+		binary.BigEndian.PutUint32(seg[l4+4:l4+8], baseSeq+uint32(i*mss))
+		seg[l4+13] = byte(flags)
+		if i == n-1 && pshLast {
+			seg[l4+13] |= byte(TCPPsh)
+		}
 		// The IP header is the l4-l3 bytes the caller says it is, whatever
 		// the frame's IHL nibble claims.
 		seg[l3+10], seg[l3+11] = 0, 0
 		binary.BigEndian.PutUint16(seg[l3+10:l3+12], Checksum(seg[l3:l4]))
-		if sums != nil {
-			RecomputeTCPChecksumSum(seg, l3, l4, uint32(sums[i]))
-		} else {
-			RecomputeTCPChecksum(seg, l3, l4)
-		}
-		out = append(out, seg)
+		RecomputeTCPChecksumSum(seg, l3, l4, uint32(sums[i]))
 	}
-	return out
+	return true
+}
+
+// segPlan splits a super whose headers end at hdrLen: its payload (the IP
+// total length clamped to the bytes present), segment size and count.
+func segPlan(super []byte, l3, hdrLen, mss int) ([]byte, int, int) {
+	payload := super[hdrLen:max(hdrLen, min(len(super), l3+int(IPv4TotalLen(super, l3))))]
+	if mss <= 0 || len(payload) <= mss {
+		return payload, len(payload), 1
+	}
+	return payload, mss, (len(payload) + mss - 1) / mss
 }

@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"testing"
 )
 
@@ -248,6 +249,183 @@ func TestSegmentTCPSumsMatchesScratch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mergedTrain is what the GRO engine holds after coalescing one flow's
+// in-order train of payload split at mss: the wire frames (IDs and sequence
+// numbers wrapping mid-train, PSH on the last one when pshLast), the
+// supersegment the merge rules build from them — the first frame plus every
+// later payload, total length patched, PSH restored, TCP checksum from the
+// carried sums — and the per-segment payload sums.
+func mergedTrain(payload []byte, mss int, pshLast bool) (frames [][]byte, super []byte, sums []uint16) {
+	l3, l4 := EthHdrLen, EthHdrLen+IPv4MinLen
+	eth := Ethernet{Dst: HWAddr{0x02, 0, 0, 0, 0, 2}, Src: HWAddr{0x02, 0, 0, 0, 0, 1}, EtherType: EtherTypeIPv4}
+	src, dst := AddrFrom4(192, 168, 0, 1), AddrFrom4(192, 168, 0, 2)
+	var total uint32
+	for i, off := 0, 0; off < len(payload); i, off = i+1, off+mss {
+		piece := payload[off:min(off+mss, len(payload))]
+		fl := TCPAck
+		if pshLast && off+mss >= len(payload) {
+			fl |= TCPPsh
+		}
+		frames = append(frames, BuildTCP(eth,
+			IPv4{ID: 0xfffa + uint16(i), Flags: IPv4DontFragment, TTL: 64, Proto: ProtoTCP, Src: src, Dst: dst},
+			TCP{SrcPort: 1024, DstPort: 80, Seq: 0xffff_f000 + uint32(off), Ack: 200, Flags: fl, Window: 0x2000},
+			piece))
+		sums = append(sums, PartialSum(piece))
+		total += uint32(SumAt(sums[i], off))
+	}
+	super = append([]byte(nil), frames[0]...)
+	super[l4+13] &^= byte(TCPPsh)
+	for _, f := range frames[1:] {
+		super = append(super, f[l4+TCPHdrLen:]...)
+	}
+	SetIPv4TotalLen(super, l3, uint16(len(super)-l3))
+	if pshLast {
+		super[l4+13] |= byte(TCPPsh)
+	}
+	RecomputeTCPChecksumSum(super, l3, l4, total)
+	return frames, super, sums
+}
+
+// rewriteSuper applies the header rewrites the stack may make between GRO
+// and GSO, chosen by the bits of which: TTL decrement, both MACs, then source
+// and destination address and port (NAT, checksums left stale — GSO builds
+// both from scratch and from the carried sums).
+func rewriteSuper(super []byte, which uint8) {
+	l3, l4 := EthHdrLen, EthHdrLen+IPv4MinLen
+	if which&1 != 0 {
+		DecTTL(super, l3)
+	}
+	if which&2 != 0 {
+		SetEthDst(super, HWAddr{0x02, 0xaa, 0, 0, 0, 9})
+		SetEthSrc(super, HWAddr{0x02, 0xbb, 0, 0, 0, 3})
+	}
+	if which&4 != 0 {
+		AddrFrom4(203, 0, 113, 7).PutBytes(super[l3+12 : l3+16])
+		binary.BigEndian.PutUint16(super[l4:], 61001)
+	}
+	if which&8 != 0 {
+		AddrFrom4(10, 9, 8, 7).PutBytes(super[l3+16 : l3+20])
+		binary.BigEndian.PutUint16(super[l4+2:], 8443)
+	}
+}
+
+// checkResegmentInto applies the rewrites to the super and writes its
+// headers into its own train. Two oracles: SegmentTCP's split of the super,
+// and — independent of the shared header writer — each original frame given
+// the same rewrites on its own, checksums recomputed from scratch, which is
+// what the GRO-off path sends. Before the write every header byte of the
+// originals is scribbled over, so nothing can survive from them; after it
+// each frame must still be the same slice. First, each shape mismatch — a
+// frame short or extra, a frame a byte off, sums missing or short — must
+// return false and leave the frames alone.
+func checkResegmentInto(t *testing.T, frames [][]byte, super []byte, sums []uint16, mss int, pshLast bool, rewrite uint8) {
+	t.Helper()
+	l3, l4 := EthHdrLen, EthHdrLen+IPv4MinLen
+	hdrLen := l4 + TCPHdrLen
+	perFrame := make([][]byte, len(frames))
+	for i, f := range frames {
+		perFrame[i] = append([]byte(nil), f...)
+		rewriteSuper(perFrame[i], rewrite)
+		RecomputeIPv4Checksum(perFrame[i], l3)
+		RecomputeTCPChecksum(perFrame[i], l3, l4)
+	}
+	rewriteSuper(super, rewrite)
+	want := SegmentTCP(super, l3, l4, mss, pshLast)
+	snap := func() [][]byte {
+		out := make([][]byte, len(frames))
+		for i, f := range frames {
+			out[i] = append([]byte(nil), f...)
+		}
+		return out
+	}
+	for _, bad := range []struct {
+		name   string
+		frames [][]byte
+		sums   []uint16
+	}{
+		{"one frame short", frames[:len(frames)-1], sums},
+		{"one frame extra", append(frames[:len(frames):len(frames)], frames[0]), sums},
+		{"last frame a byte short", append(frames[:len(frames)-1:len(frames)-1], frames[len(frames)-1][:len(frames[len(frames)-1])-1]), sums},
+		{"first frame a byte long", append([][]byte{append(frames[0][:len(frames[0]):len(frames[0])], 0)}, frames[1:]...), sums},
+		{"no sums", frames, nil},
+		{"sums short", frames, sums[:len(sums)-1]},
+	} {
+		before := snap()
+		if ResegmentTCPInto(super, l3, l4, mss, pshLast, bad.sums, bad.frames) {
+			t.Fatalf("%s: accepted", bad.name)
+		}
+		for i := range frames {
+			if !bytes.Equal(frames[i], before[i]) {
+				t.Fatalf("%s: frame %d written although the shape was refused", bad.name, i)
+			}
+		}
+	}
+
+	addrs := make([]*byte, len(frames))
+	for i, f := range frames {
+		addrs[i] = &f[0]
+		for j := 0; j < hdrLen; j++ {
+			f[j] = rewrite*37 + byte(j)
+		}
+	}
+	if !ResegmentTCPInto(super, l3, l4, mss, pshLast, sums, frames) {
+		t.Fatalf("well-formed train of %d refused", len(frames))
+	}
+	if len(want) != len(frames) {
+		t.Fatalf("SegmentTCP made %d segments of a %d-frame train", len(want), len(frames))
+	}
+	for i, f := range frames {
+		if &f[0] != addrs[i] {
+			t.Fatalf("frame %d moved", i)
+		}
+		if !bytes.Equal(f, want[i]) {
+			t.Fatalf("frame %d differs from SegmentTCP:\n into    %x\n scratch %x", i, f, want[i])
+		}
+		if !bytes.Equal(f, perFrame[i]) {
+			t.Fatalf("frame %d differs from the frame rewritten on its own:\n into  %x\n alone %x", i, f, perFrame[i])
+		}
+	}
+}
+
+// TestResegmentTCPIntoMatchesSegmentTCP: over seeded trains built with the
+// real merge rules — odd and even segment sizes, odd and even tails, PSH last
+// or not, every combination of TTL, MAC and NAT rewrites after the merge —
+// writing headers into the original frames yields SegmentTCP's output byte
+// for byte, and a mismatched shape is refused untouched.
+func TestResegmentTCPIntoMatchesSegmentTCP(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for iter := 0; iter < 300; iter++ {
+		mss := 1 + rng.Intn(1500)
+		if iter%3 == 0 {
+			mss = 1447 + rng.Intn(2) // one MSS, odd and even
+		}
+		n := 2 + rng.Intn(16)
+		payload := make([]byte, (n-1)*mss+1+rng.Intn(mss))
+		rng.Read(payload)
+		pshLast := rng.Intn(2) == 0
+		frames, super, sums := mergedTrain(payload, mss, pshLast)
+		checkResegmentInto(t, frames, super, sums, mss, pshLast, uint8(rng.Intn(16)))
+	}
+}
+
+// FuzzResegmentInto: for any payload, segment size, PSH bit and set of
+// post-merge rewrites, ResegmentTCPInto over the merged train equals
+// SegmentTCP and refuses every shape mismatch without writing.
+func FuzzResegmentInto(f *testing.F) {
+	f.Add([]byte("abcdefghij"), 4, true, uint8(15))
+	f.Add([]byte("abcdefg"), 3, false, uint8(1))
+	f.Add([]byte("ab"), 1, true, uint8(6))
+	f.Add(bytes.Repeat([]byte{0xff}, 3*1447+333), 1447, false, uint8(9))
+	f.Add(bytes.Repeat([]byte{0x01, 0xfe}, 2*1448), 1448, true, uint8(0))
+	f.Fuzz(func(t *testing.T, payload []byte, mss int, pshLast bool, rewrite uint8) {
+		if mss <= 0 || mss >= len(payload) || len(payload) > 60000 || len(payload) > 64*mss {
+			return // GSO only ever splits a merged train of two or more
+		}
+		frames, super, sums := mergedTrain(payload, mss, pshLast)
+		checkResegmentInto(t, frames, super, sums, mss, pshLast, rewrite)
+	})
 }
 
 // TestSegmentTCPMalformed pins the two inputs that used to panic: a
