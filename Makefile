@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench-json bench-diff bench-pairs obs-smoke trace-smoke
+.PHONY: check vet build test race flake bench-test bench-smoke bench-json bench-diff bench-pairs obs-smoke trace-smoke
 
-## check: everything CI runs — vet, build, tests, race detector, bench smoke,
-## the observability pipeline smoke (lfptop + Prometheus export), and the
-## flight-recorder smoke (lfptrace timelines + trace-ledger conservation)
-check: vet build test race bench-smoke obs-smoke trace-smoke
+## check: everything CI runs — vet, build, tests, race detector, the flake
+## gate, the bench/ module's own tests, bench smoke, the observability
+## pipeline smoke (lfptop + Prometheus export), and the flight-recorder smoke
+## (lfptrace timelines + trace-ledger conservation)
+check: vet build test race flake bench-test bench-smoke obs-smoke trace-smoke
 
 vet:
 	$(GO) vet ./...
@@ -20,6 +21,17 @@ test:
 ## worker pools are exercised under the race detector
 race:
 	$(GO) test -race ./internal/...
+
+## flake: the packages whose tests drive the controller daemon, 20 runs
+## each, so an ordering bug that fails one run in 20 fails the target
+flake:
+	$(GO) test -count=20 . ./internal/core ./internal/k8s
+	$(GO) test -count=20 -run TestTable6Shape ./internal/testbed
+
+## bench-test: the bench/ module's tests (its own go.mod), including the
+## five-workload smoke run
+bench-test:
+	cd bench && $(GO) test ./...
 
 ## bench-smoke: a fast pass over the real-execution forwarding benchmarks
 ## (including the 4-shard parallel scaling bench and the batched fast

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"linuxfp/internal/ebpf"
@@ -27,32 +28,38 @@ type Reaction struct {
 	Wall       time.Duration
 	LoadWall   time.Duration // verify + specialize + fuse, summed over deploys
 	SwapWall   time.Duration // dispatcher attach/swap, summed over deploys
-	Modules    int // module instances synthesized
-	NewModules int // module instances not present before
+	Modules    int           // module instances synthesized
+	NewModules int           // module instances not present before
 	Deployed   bool
 }
 
-// Controller is the LinuxFP daemon.
+// reactionLog is how many reactions the controller retains.
+const reactionLog = 64
+
+// Controller is the LinuxFP daemon. One goroutine, started by Start, is the
+// only reader of its netlink subscription and the only caller of reconcile;
+// everything else talks to it through Sync or reads what it published.
 type Controller struct {
 	K *kernel.Kernel
 
 	store    *ObjectStore
-	caps     *CapabilityManager
 	topo     *TopologyManager
 	synth    *Synthesizer
 	deployer *Deployer
 
-	sub  *netlink.Subscription
-	stop chan struct{}
-	done chan struct{}
-
-	mu          sync.Mutex
-	lastGraph   *Graph
+	// The daemon goroutine owns these while it runs; Start and Stop own them
+	// while it does not.
 	lastPrint   string
 	lastModules map[string]bool
-	reactions   []Reaction
-	droppedSeen uint64
-	started     bool
+
+	syncReq chan chan struct{}    // Sync's ack channels, served by the daemon
+	graph   atomic.Pointer[Graph] // published by every reconcile
+
+	mu         sync.Mutex // guards the lifecycle and the reaction log
+	started    bool
+	stop, done chan struct{}
+	reactions  []Reaction // ring of reactionLog; oldest at reactNext once full
+	reactNext  int
 }
 
 // New builds a controller for a kernel.
@@ -62,22 +69,19 @@ func New(k *kernel.Kernel, opts Options) *Controller {
 	if opts.DisabledHelpers != 0 {
 		caps.DisableHelper(opts.DisabledHelpers)
 	}
-	loader := ebpf.NewLoader(k)
 	return &Controller{
-		K:           k,
-		store:       store,
-		caps:        caps,
-		topo:        NewTopologyManager(store, caps),
-		synth:       NewSynthesizer(k, caps),
-		deployer:    NewDeployer(loader),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
-		lastModules: map[string]bool{},
+		K:        k,
+		store:    store,
+		topo:     NewTopologyManager(store, caps),
+		synth:    NewSynthesizer(k, caps),
+		deployer: NewDeployer(ebpf.NewLoader(k)),
+		syncReq:  make(chan chan struct{}),
 	}
 }
 
-// Start subscribes to kernel notifications, performs the initial dump, and
-// launches the reconcile loop.
+// Start launches the daemon, which subscribes to kernel notifications,
+// dumps the current state and reconciles it. Start returns once that first
+// reconcile has deployed its data path.
 func (c *Controller) Start() {
 	c.mu.Lock()
 	if c.started {
@@ -86,20 +90,13 @@ func (c *Controller) Start() {
 	}
 	c.started = true
 	// Fresh lifecycle channels so a controller can be restarted.
-	c.stop = make(chan struct{})
-	c.done = make(chan struct{})
+	c.stop, c.done = make(chan struct{}), make(chan struct{})
+	go c.run(c.stop, c.done)
 	c.mu.Unlock()
-
-	// Subscribe before dumping so no change can fall between them.
-	c.sub = c.K.Bus.Subscribe(netlink.GroupAll)
-	for _, msg := range c.K.Bus.Dump(netlink.GroupAll) {
-		c.store.Apply(msg)
-	}
-	c.reconcile("startup", true)
-	go c.run()
+	c.Sync()
 }
 
-// Stop shuts the reconcile loop down and waits for it to exit.
+// Stop shuts the daemon down and waits for it to exit.
 func (c *Controller) Stop() {
 	c.mu.Lock()
 	if !c.started {
@@ -107,10 +104,10 @@ func (c *Controller) Stop() {
 		return
 	}
 	c.started = false
+	stop, done := c.stop, c.done
 	c.mu.Unlock()
-	close(c.stop)
-	<-c.done
-	c.sub.Close()
+	close(stop)
+	<-done
 	// Clean shutdown withdraws the fast paths: the host returns to stock
 	// Linux behaviour. (Real eBPF programs would survive the daemon; a
 	// deliberate teardown detaches them, which is what Stop models.)
@@ -118,102 +115,100 @@ func (c *Controller) Stop() {
 		c.deployer.Undeploy(name)
 	}
 	// Forget the deployed graph so a restart synthesizes from scratch.
-	c.mu.Lock()
-	c.lastPrint = ""
-	c.lastModules = map[string]bool{}
-	c.mu.Unlock()
+	c.lastPrint, c.lastModules = "", nil
 }
 
-// run is the daemon loop: each batch of notifications triggers one
-// reconcile.
-func (c *Controller) run() {
-	defer close(c.done)
-	for {
-		select {
-		case <-c.stop:
-			return
-		case msg, ok := <-c.sub.C:
-			if !ok {
-				return
-			}
-			changed := c.store.Apply(msg)
-			trigger := msg.Type.String()
-			netfilterTouched := netlink.GroupOf(msg.Type) == netlink.GroupNetfilter
-			// Drain the burst: one reconcile per batch of changes.
-			for {
-				select {
-				case more, ok := <-c.sub.C:
-					if !ok {
-						return
-					}
-					if c.store.Apply(more) {
-						changed = true
-					}
-					if netlink.GroupOf(more.Type) == netlink.GroupNetfilter {
-						netfilterTouched = true
-					}
-					continue
-				default:
-				}
-				break
-			}
-			if c.resyncIfOverflowed() {
-				changed = true
-			}
-			if changed {
-				c.reconcile(trigger, netfilterTouched)
-			}
-		}
-	}
-}
-
-// Sync applies all pending notifications and reconciles synchronously —
-// what tests and the benchmark harness use for determinism. The trigger
-// label comes from the first pending message.
+// Sync is a fence: it returns once the daemon has applied every
+// notification published before Sync was called and, if they changed the
+// controller's view, finished the one reconcile that covers them. Publish
+// enqueues synchronously, so those notifications are already queued when the
+// daemon serves the request; lost ones (ENOBUFS) are recovered by a dump
+// first. Sync returns at once on a controller that is not running, and
+// returns if the controller is stopped while it waits.
 func (c *Controller) Sync() {
-	trigger := "sync"
-	netfilterTouched := false
-	changed := c.resyncIfOverflowed()
-	for {
-		select {
-		case msg := <-c.sub.C:
-			if c.store.Apply(msg) {
-				if !changed {
-					trigger = msg.Type.String()
-				}
-				changed = true
-			}
-			if netlink.GroupOf(msg.Type) == netlink.GroupNetfilter {
-				netfilterTouched = true
-			}
-			continue
-		default:
-		}
-		break
+	c.mu.Lock()
+	started, done := c.started, c.done
+	c.mu.Unlock()
+	if !started {
+		return
 	}
-	if changed {
-		c.reconcile(trigger, netfilterTouched)
+	ack := make(chan struct{})
+	select {
+	case c.syncReq <- ack:
+		select {
+		case <-ack:
+		case <-done:
+		}
+	case <-done:
 	}
 }
 
-// resyncIfOverflowed detects lost notifications (the netlink ENOBUFS
-// condition: a burst overflowed the subscription buffer) and recovers the
-// way real daemons do — a full state dump. It reports whether the dump
-// changed the store.
-func (c *Controller) resyncIfOverflowed() bool {
-	dropped := c.sub.Dropped()
-	c.mu.Lock()
-	seen := c.droppedSeen
-	c.droppedSeen = dropped
-	c.mu.Unlock()
-	if dropped == seen {
-		return false
+// run is the daemon. Each wakeup — a notification or a Sync request —
+// drains everything queued and reconciles at most once.
+func (c *Controller) run(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
+	// Subscribe before dumping so no change can fall between them.
+	sub := c.K.Bus.Subscribe(netlink.GroupAll)
+	defer sub.Close()
+	c.applyDump()
+	c.reconcile("startup", true)
+	var dropped uint64 // sub.Dropped() at the last dump
+	for {
+		b := batch{trigger: "resync"}
+		var ack chan struct{}
+		select {
+		case <-stop:
+			return
+		case ack = <-c.syncReq:
+		case msg := <-sub.C:
+			b.add(c.store, msg)
+		}
+	drain:
+		for {
+			select {
+			case msg := <-sub.C:
+				b.add(c.store, msg)
+			default:
+				break drain
+			}
+		}
+		// A burst overflowed the subscription (netlink's ENOBUFS): recover
+		// the lost notifications the way real daemons do, with a full dump.
+		if n := sub.Dropped(); n != dropped {
+			dropped = n
+			b.changed = c.applyDump() || b.changed
+		}
+		if b.changed {
+			c.reconcile(b.trigger, b.netfilter)
+		}
+		if ack != nil {
+			close(ack)
+		}
 	}
+}
+
+// batch is what one wakeup of the daemon drained. The first message that
+// changed the store names the reconcile; any netfilter message charges the
+// libiptc dump.
+type batch struct {
+	trigger   string
+	changed   bool
+	netfilter bool
+}
+
+func (b *batch) add(store *ObjectStore, msg netlink.Message) {
+	if store.Apply(msg) && !b.changed {
+		b.trigger, b.changed = msg.Type.String(), true
+	}
+	b.netfilter = b.netfilter || netlink.GroupOf(msg.Type) == netlink.GroupNetfilter
+}
+
+// applyDump folds a full state dump into the store and reports whether it
+// changed anything.
+func (c *Controller) applyDump() bool {
 	changed := false
 	for _, msg := range c.K.Bus.Dump(netlink.GroupAll) {
-		if c.store.Apply(msg) {
-			changed = true
-		}
+		changed = c.store.Apply(msg) || changed
 	}
 	return changed
 }
@@ -225,19 +220,14 @@ func (c *Controller) reconcile(trigger string, netfilterTouched bool) {
 
 	graph := c.topo.Build()
 	modules := graph.ModuleSet()
-
-	c.mu.Lock()
-	prevModules := c.lastModules
-	prevPrint := c.lastPrint
-	c.mu.Unlock()
-
 	newCount := 0
 	for m := range modules {
-		if !prevModules[m] {
+		if !c.lastModules[m] {
 			newCount++
 		}
 	}
-	changed := graph.Fingerprint() != prevPrint
+	fp := graph.Fingerprint()
+	changed := fp != c.lastPrint
 
 	deployed := false
 	filterInvolved := false
@@ -289,16 +279,27 @@ func (c *Controller) reconcile(trigger string, netfilterTouched bool) {
 		}
 	}
 
-	c.mu.Lock()
-	c.lastGraph = graph
-	c.lastPrint = graph.Fingerprint()
-	c.lastModules = modules
-	c.reactions = append(c.reactions, Reaction{
+	c.lastPrint, c.lastModules = fp, modules
+	c.record(Reaction{
 		Trigger: trigger, Virtual: virtual, Wall: time.Since(start),
 		LoadWall: loadWall, SwapWall: swapWall,
 		Modules: len(modules), NewModules: newCount, Deployed: deployed,
 	})
-	c.mu.Unlock()
+	// After the reaction: whoever sees the new graph also sees its reaction.
+	c.graph.Store(graph)
+}
+
+// record appends a reaction to the log, overwriting the oldest once the log
+// holds reactionLog of them.
+func (c *Controller) record(r Reaction) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.reactions) < reactionLog {
+		c.reactions = append(c.reactions, r)
+		return
+	}
+	c.reactions[c.reactNext] = r
+	c.reactNext = (c.reactNext + 1) % reactionLog
 }
 
 // FastPathStats aggregates data-plane counters across every accelerated
@@ -329,33 +330,32 @@ func (c *Controller) FastPathStats() FastPathStats {
 	return out
 }
 
-// Graph returns the most recently built processing graph.
+// Graph returns the processing graph built by the most recent reconcile, or
+// nil before the first. It takes no lock. Every reconcile publishes a fresh
+// *Graph, even one equal to its predecessor, so a change of pointer means a
+// reconcile finished (and its reaction is already logged); a published graph
+// is never modified.
 func (c *Controller) Graph() *Graph {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastGraph
+	return c.graph.Load()
 }
 
-// Reactions returns the reconcile history.
+// Reactions returns the last reactionLog reactions, oldest first.
 func (c *Controller) Reactions() []Reaction {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]Reaction(nil), c.reactions...)
+	return append(append([]Reaction(nil), c.reactions[c.reactNext:]...), c.reactions[:c.reactNext]...)
 }
 
 // LastReaction returns the most recent reaction, if any.
 func (c *Controller) LastReaction() (Reaction, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.reactions) == 0 {
+	n := len(c.reactions)
+	if n == 0 {
 		return Reaction{}, false
 	}
-	return c.reactions[len(c.reactions)-1], true
+	return c.reactions[(c.reactNext+n-1)%n], true
 }
 
 // Deployer exposes deployment state for inspection.
 func (c *Controller) Deployer() *Deployer { return c.deployer }
-
-// Capabilities exposes the capability manager (tests model unpatched
-// kernels through it).
-func (c *Controller) Capabilities() *CapabilityManager { return c.caps }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"linuxfp/internal/fib"
-	"linuxfp/internal/kernel"
 	"linuxfp/internal/netdev"
 	"linuxfp/internal/netfilter"
 	"linuxfp/internal/netlink"
@@ -182,25 +181,7 @@ func TestControllerRestartAfterStop(t *testing.T) {
 func TestControllerScalesToLargeConfigurations(t *testing.T) {
 	// 40 interfaces, 1000 routes, 200 rules: a reconcile must stay
 	// well-behaved (no quadratic blowups) and deploy everything.
-	k := kernel.New("big")
-	for i := 0; i < 40; i++ {
-		name := "eth" + string(rune('A'+i/10)) + string(rune('0'+i%10))
-		d := k.CreateDevice(name, netdev.Physical)
-		d.SetUp(true)
-		k.AddAddr(name, packet.Prefix{Addr: packet.AddrFrom4(10, byte(i), 0, 1), Bits: 24})
-	}
-	k.SetSysctl("net.ipv4.ip_forward", "1")
-	out, _ := k.DeviceByName("ethA0")
-	for i := 0; i < 1000; i++ {
-		k.AddRoute(fib.Route{
-			Prefix:  packet.Prefix{Addr: packet.AddrFrom4(172, 16+byte(i/256), byte(i%256), 0), Bits: 24},
-			Gateway: packet.MustAddr("10.0.0.2"), OutIf: out.Index,
-		})
-	}
-	for i := 0; i < 200; i++ {
-		p := packet.Prefix{Addr: packet.AddrFrom4(203, 0, byte(i), 0), Bits: 24}
-		k.IptAppend("FORWARD", netfilter.Rule{Match: netfilter.Match{Src: &p}, Target: netfilter.VerdictDrop})
-	}
+	k, out := bigKernel()
 
 	start := time.Now()
 	c := startController(t, k, Options{})

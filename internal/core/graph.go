@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"linuxfp/internal/netlink"
 )
@@ -75,25 +76,26 @@ func (g *Graph) Fingerprint() string {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	fp := ""
+	var fp strings.Builder
+	var keys []string
 	for _, n := range names {
 		ig := g.Interfaces[n]
-		fp += n + "@" + ig.Hook + "{"
+		fp.WriteString(n + "@" + ig.Hook + "{")
 		for _, node := range ig.Nodes {
-			fp += node.FPM + "("
-			keys := make([]string, 0, len(node.Conf))
+			fp.WriteString(node.FPM + "(")
+			keys = keys[:0]
 			for k := range node.Conf {
 				keys = append(keys, k)
 			}
 			sort.Strings(keys)
 			for _, k := range keys {
-				fp += k + "=" + node.Conf[k] + ","
+				fp.WriteString(k + "=" + node.Conf[k] + ",")
 			}
-			fp += ")->" + node.NextNF + ";"
+			fp.WriteString(")->" + node.NextNF + ";")
 		}
-		fp += "}"
+		fp.WriteByte('}')
 	}
-	return fp
+	return fp.String()
 }
 
 // TopologyManager derives the processing graph from introspected objects:

@@ -210,17 +210,3 @@ func (s *ObjectStore) IPVSServiceCount() int {
 	}
 	return n
 }
-
-// BridgePorts returns the ifindexes enslaved to a bridge ifindex.
-func (s *ObjectStore) BridgePorts(brIdx int) []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []int
-	for idx, l := range s.links {
-		if l.Master == brIdx {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out
-}

@@ -68,9 +68,9 @@ func (s *System) MustExec(cmd string) string {
 	return out
 }
 
-// Accelerate starts the LinuxFP controller. Configuration changes made
-// before or after this call are picked up automatically; Sync forces a
-// synchronous reconcile when determinism matters.
+// Accelerate starts the LinuxFP controller and returns once the data path
+// for the current configuration is deployed. Later changes are picked up
+// by the controller's daemon on its own; Sync waits until they have been.
 func (s *System) Accelerate(opts Options) *core.Controller {
 	if s.Controller != nil {
 		return s.Controller
@@ -84,7 +84,9 @@ func (s *System) Accelerate(opts Options) *core.Controller {
 	return s.Controller
 }
 
-// Sync waits for the controller to absorb all pending kernel changes.
+// Sync is a fence: it returns once the controller has absorbed, and
+// reconciled, every kernel change made before the call. Without a running
+// controller it returns at once.
 func (s *System) Sync() {
 	if s.Controller != nil {
 		s.Controller.Sync()
