@@ -48,16 +48,19 @@ bench-test:
 ## B and the 16 x 1448 B GSO split (internal/packet), the test pinning zero
 ## allocations per forwarded supersegment (forward, TC redirect, unresolved
 ## neighbour), and the seed corpora of every fuzz target (GSO into the
-## original frames, the split, the checksum, the netfilter evaluator).
+## original frames, the split, the checksum, the netfilter evaluator, the
+## flat FIB against the two-trie walk).
 ## The lock-free read side rides along as well: the 100-rule chain through
 ## hook and pinned snapshot, serial and parallel (internal/netfilter), the
-## parallel FIB and neighbour lookups (internal/fib, internal/neigh), and the
-## command-alone churn step (internal/shell, allocs/op is the figure).
+## FIB lookup serial and parallel and the FIB snapshot rebuild at 50 / 1 000
+## / 10 000 routes (internal/fib), the parallel neighbour lookup
+## (internal/neigh), and the command-alone churn step (internal/shell,
+## allocs/op is the figure).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRealForward|BenchmarkRealLinuxFPFastPath|BenchmarkRealLinuxGRO' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/ebpf/ ./internal/netdev/ ./internal/kernel/ ./internal/steer/ ./internal/packet/ ./internal/netfilter/ ./internal/fib/ ./internal/neigh/ ./internal/shell/
 	$(GO) test -run TestGROSupersegmentAllocs -count 1 ./internal/kernel/
-	$(GO) test -run Fuzz -count 1 ./internal/packet/ ./internal/netfilter/
+	$(GO) test -run Fuzz -count 1 ./internal/packet/ ./internal/netfilter/ ./internal/fib/
 
 ## obs-smoke: one lfptop frame (drop reasons + ring buffer + stage latency,
 ## with the Prometheus snapshot appended) and a linuxfpd run with -metrics,

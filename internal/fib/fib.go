@@ -1,6 +1,8 @@
 // Package fib implements the kernel's forwarding information base: a
 // path-compressed binary trie keyed by IPv4 prefix, supporting multiple
 // routing tables, route metrics and scopes, and longest-prefix-match lookup.
+// The tries are what writers change; packets resolve against a flat snapshot
+// of local and main merged (flat.go), rebuilt after the tries change.
 //
 // This is the single copy of routing state in the system: the slow path's
 // ip_route_input and the fast path's bpf_fib_lookup helper both resolve
@@ -332,6 +334,9 @@ type FIB struct {
 	// generation check of the flow fast-cache) never touch the tables map
 	// lock.
 	main, local *Table
+
+	flat    atomic.Pointer[flat] // what Lookup reads; see flat.go
+	buildMu sync.Mutex           // one reader rebuilds flat at a time
 }
 
 // New returns a FIB with empty main and local tables.
@@ -342,6 +347,7 @@ func New() *FIB {
 	}}
 	f.main = f.tables[TableMain]
 	f.local = f.tables[TableLocal]
+	f.flat.Store(newFlat(f.local, f.main, 0, 0))
 	return f
 }
 
@@ -375,12 +381,14 @@ func (f *FIB) Main() *Table { return f.main }
 func (f *FIB) Local() *Table { return f.local }
 
 // Lookup resolves dst the way ip_route_input does: the local table first
-// (host delivery wins), then the main table.
+// (host delivery wins), then the main table. It reads the flat snapshot of
+// both and takes no lock unless a table changed since the snapshot was built.
 func (f *FIB) Lookup(dst packet.Addr) (Route, bool) {
-	if r, ok := f.local.Lookup(dst); ok {
-		return r, true
+	s := f.flat.Load()
+	if s.localGen != f.local.gen.Load() || s.mainGen != f.main.gen.Load() {
+		s = f.rebuild()
 	}
-	return f.main.Lookup(dst)
+	return s.lookup(dst)
 }
 
 func min(a, b int) int {

@@ -1,12 +1,14 @@
 package fib
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"linuxfp/internal/packet"
 )
@@ -254,21 +256,133 @@ func TestAddAllocsNoMore(t *testing.T) {
 	}
 }
 
-func BenchmarkFIBLookupParallel(b *testing.B) {
+// TestFIBLookupSeesSomeGeneration is TestLookupSeesSomeGeneration across
+// both tables: the writer cycles routes on local and main through eight
+// states, one generation bump each, so FIB.Gen names the state. The cycle
+// has a local /32 appear inside a main /16, and a main /24 deleted under a
+// local /8, so a snapshot stamped with one table's generation and built from
+// another's trie answers wrong.
+func TestFIBLookupSeesSomeGeneration(t *testing.T) {
+	f := New()
+	m16, m24 := packet.MustPrefix("10.1.0.0/16"), packet.MustPrefix("10.1.2.0/24")
+	l8, l32 := packet.MustPrefix("10.0.0.0/8"), packet.MustPrefix("10.1.2.3/32")
+	f.Main().Add(Route{Prefix: m24, OutIf: 24})
+	base := f.Gen()
+	probes := [2]packet.Addr{packet.MustAddr("10.1.2.3"), packet.MustAddr("10.1.9.9")}
+	// OutIf per probe in each state; local routes are 100 + their length, 0 is no route.
+	want := [][2]int{{24, 0}, {24, 16}, {132, 16}, {132, 108}, {132, 108}, {108, 108}, {108, 108}, {24, 16}}
+	cycle := []func(){
+		func() { f.Main().Add(Route{Prefix: m16, OutIf: 16}) },
+		func() { f.Local().Add(Route{Prefix: l32, OutIf: 132, Local: true}) },
+		func() { f.Local().Add(Route{Prefix: l8, OutIf: 108, Local: true}) },
+		func() { f.Main().Delete(m24, -1) },
+		func() { f.Local().Delete(l32, 0) },
+		func() { f.Main().Add(Route{Prefix: m24, OutIf: 24}) },
+		func() { f.Local().Delete(l8, -1) },
+		func() { f.Main().Delete(m16, 0) },
+	}
+	var stop atomic.Bool
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				reads.Add(1)
+				g1 := f.Gen()
+				got, _ := f.Lookup(probes[i%2])
+				g2 := f.Gen()
+				ok := false
+				for g := g1; g <= g2+1; g++ {
+					ok = ok || want[(g-base)%uint64(len(want))][i%2] == got.OutIf
+				}
+				if !ok {
+					t.Errorf("gens %d..%d: Lookup(%v) went out if %d", g1-base, g2-base, probes[i%2], got.OutIf)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; reads.Load() < 40000 && !t.Failed(); i++ {
+		cycle[i%len(cycle)]()
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+// routerFIB is the router64 shape: one local address and n main routes of
+// /16 to /24, with 1024 destinations to look up and the snapshot built.
+func routerFIB(n int) (*FIB, []packet.Addr) {
 	f := New()
 	rng := rand.New(rand.NewSource(1))
 	f.Local().Add(Route{Prefix: packet.MustPrefix("10.1.0.254/32"), Scope: ScopeHost, Local: true})
-	for i := 0; i < 50; i++ {
+	for i := 0; i < n; i++ {
 		f.Main().Add(Route{Prefix: packet.Prefix{Addr: packet.Addr(rng.Uint32()), Bits: 16 + rng.Intn(9)}, OutIf: i})
 	}
 	dsts := make([]packet.Addr, 1024)
 	for i := range dsts {
 		dsts[i] = packet.Addr(rng.Uint32())
 	}
+	f.Lookup(dsts[0])
+	return f, dsts
+}
+
+// TestFIBLookupAllocsNothing: once the snapshot is built, a lookup allocates
+// nothing.
+func TestFIBLookupAllocsNothing(t *testing.T) {
+	f, dsts := routerFIB(50)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		f.Lookup(dsts[i%len(dsts)])
+		i++
+	}); n != 0 {
+		t.Errorf("FIB.Lookup allocates %.1f times, want 0", n)
+	}
+}
+
+var sinkRoute Route
+
+func BenchmarkFIBLookup(b *testing.B) {
+	f, dsts := routerFIB(50)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkRoute, _ = f.Lookup(dsts[i%len(dsts)])
+	}
+}
+
+func BenchmarkFIBLookupParallel(b *testing.B) {
+	f, dsts := routerFIB(50)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for i := 0; pb.Next(); i++ {
 			f.Lookup(dsts[i%len(dsts)])
 		}
 	})
+}
+
+// BenchmarkFIBRebuild times what the first lookup after a route change pays
+// (ns/op) on router-shaped tables of growing size, and reports what the
+// snapshot holds (flat_bytes) and its node count.
+func BenchmarkFIBRebuild(b *testing.B) {
+	for _, n := range []int{50, 1000, 10000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			f, _ := routerFIB(n)
+			f.local.mu.RLock()
+			defer f.local.mu.RUnlock()
+			f.main.mu.RLock()
+			defer f.main.mu.RUnlock()
+			var s *flat
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s = newFlat(f.local, f.main, 0, 0)
+			}
+			// 1 KiB per node plus the routes the entries index.
+			bytes := cap(s.nodes)*int(unsafe.Sizeof(s.nodes[0])) + cap(s.routes)*int(unsafe.Sizeof(Route{}))
+			b.ReportMetric(float64(bytes), "flat_bytes")
+			b.ReportMetric(float64(len(s.nodes)), "nodes")
+		})
+	}
 }
