@@ -23,10 +23,14 @@ race:
 	$(GO) test -race ./internal/...
 
 ## flake: the packages whose tests drive the controller daemon, 20 runs
-## each, so an ordering bug that fails one run in 20 fails the target
+## each, so an ordering bug that fails one run in 20 fails the target; and
+## the two cpumap GRO parity tests, whose result once hung on where a
+## kthread wakeup split a producer's poll
 flake:
 	$(GO) test -count=20 . ./internal/core ./internal/k8s
 	$(GO) test -count=20 -run TestTable6Shape ./internal/testbed
+	$(GO) test -count=20 -run TestCpumapSweepSpeedupAndGROParity ./internal/testbed
+	$(GO) test -race -count=10 -run TestCpumapGROCoalesceParity ./internal/fpm
 
 ## bench-test: the bench/ module's tests (its own go.mod), including the
 ## five-workload smoke run
@@ -50,12 +54,14 @@ bench-test:
 ## neighbour), and the seed corpora of every fuzz target (GSO into the
 ## original frames, the split, the checksum, the netfilter evaluator, the
 ## flat FIB against the two-trie walk).
-## The lock-free read side rides along as well: the 100-rule chain through
-## hook and pinned snapshot, serial and parallel (internal/netfilter), the
-## FIB lookup serial and parallel and the FIB snapshot rebuild at 50 / 1 000
-## / 10 000 routes (internal/fib), the parallel neighbour lookup
-## (internal/neigh), and the command-alone churn step (internal/shell,
-## allocs/op is the figure).
+## The lock-free read side rides along as well: the gateway chain at 1 /
+## 100 / 500 / 10 000 rules for a clean miss and a mid-chain hit, the
+## 100-rule chain in parallel, and the chain classifier's build at 100 / 500
+## / 10 000 rules with its index_bytes (internal/netfilter), the FIB lookup
+## serial and parallel and the FIB snapshot rebuild at 50 / 1 000 / 10 000
+## routes (internal/fib), the parallel neighbour lookup (internal/neigh),
+## and the command-alone churn step (internal/shell, allocs/op is the
+## figure).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRealForward|BenchmarkRealLinuxFPFastPath|BenchmarkRealLinuxGRO' -benchtime 100x -benchmem .
 	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/ebpf/ ./internal/netdev/ ./internal/kernel/ ./internal/steer/ ./internal/packet/ ./internal/netfilter/ ./internal/fib/ ./internal/neigh/ ./internal/shell/

@@ -564,8 +564,9 @@ func (cm *CPUMap) EnqueueCPU(rxq, cpu int, dev *netdev.Device, frame []byte, m *
 		if wasEmpty {
 			// First spill into an idle ring: wake the kthread now instead of
 			// waiting for end-of-poll, so it overlaps with the rest of the
-			// NAPI burst (cpu_map_kthread wake-on-first-enqueue).
-			e.RingDoorbell(m)
+			// NAPI burst (cpu_map_kthread wake-on-first-enqueue). The poll
+			// goes on, so this wakeup does not end it.
+			e.Wake(m)
 		}
 	}
 	st.dev = dev

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"testing"
 
 	"linuxfp/internal/packet"
@@ -125,5 +126,60 @@ func BenchmarkCpumapEnqueueDrain64(b *testing.B) {
 		e.EnqueueBatch(r0, batch, &m)
 		e.RingDoorbell(&m)
 		e.Quiesce()
+	}
+}
+
+// TestCpumapGROWindowIsTheProducerPoll: a wakeup on the first spill lets the
+// kthread pop part of a poll, or all of it, before the producer has finished
+// it. The GRO window and the poll prologue are still the producer's poll,
+// ended by its doorbell: a segment train popped in two drains leaves as one
+// supersegment, at the cycles it costs popped in one. A wakeup counts as a
+// kthread run only when it pops frames, not when it only ends the poll.
+func TestCpumapGROWindowIsTheProducerPoll(t *testing.T) {
+	// early is how many of the poll's 8 frames the kthread pops on a wake
+	// before the producer's doorbell.
+	run := func(early int) (Stats, sim.Cycles, int) {
+		g := newGroRig(t)
+		g.r0.SetGRO(true)
+		e := g.r.NewCpumapEntry(1, 64)
+		defer e.Stop()
+		var frames [][]byte
+		for i := 0; i < 8; i++ {
+			frames = append(frames, g.seg(100+uint32(i)*64, uint16(i+1), packet.TCPAck, bytes.Repeat([]byte{'x'}, 64)))
+		}
+		var m sim.Meter
+		if early > 0 {
+			e.EnqueueBatch(g.r0, frames[:early], &m)
+			e.Wake(&m)
+			e.Quiesce() // popped, but the poll has not ended
+			if st := g.r.Stats(); st.GROFlushes != 0 || len(g.captured) != 0 {
+				t.Fatalf("early %d: GRO window closed before the producer's doorbell: %d flushes, %d frames out", early, st.GROFlushes, len(g.captured))
+			}
+			frames = frames[early:]
+		}
+		e.EnqueueBatch(g.r0, frames, &m)
+		e.RingDoorbell(&m)
+		e.Quiesce()
+		return g.r.Stats(), e.Cycles(), len(g.captured)
+	}
+	whole, wholeCycles, wholeOut := run(0)
+	if whole.GROSupersegs != 1 || whole.GROCoalesced != 7 || wholeOut != 8 || whole.CpumapKthreadRuns != 1 {
+		t.Fatalf("one drain: %d supersegs, %d coalesced, %d frames out, %d runs; want 1, 7, 8, 1",
+			whole.GROSupersegs, whole.GROCoalesced, wholeOut, whole.CpumapKthreadRuns)
+	}
+	for early, runs := range map[int]uint64{4: 2, 8: 1} {
+		split, splitCycles, splitOut := run(early)
+		if split.GROSupersegs != whole.GROSupersegs || split.GROCoalesced != whole.GROCoalesced ||
+			split.GROFlushes != whole.GROFlushes || splitOut != wholeOut {
+			t.Fatalf("early %d: %d supersegs, %d coalesced, %d flushes, %d out; one drain: %d, %d, %d, %d", early,
+				split.GROSupersegs, split.GROCoalesced, split.GROFlushes, splitOut,
+				whole.GROSupersegs, whole.GROCoalesced, whole.GROFlushes, wholeOut)
+		}
+		if splitCycles != wholeCycles {
+			t.Fatalf("early %d: kthread charged %v cycles over two wakeups, %v over one", early, splitCycles, wholeCycles)
+		}
+		if split.CpumapKthreadRuns != runs {
+			t.Fatalf("early %d: %d kthread runs, want %d", early, split.CpumapKthreadRuns, runs)
+		}
 	}
 }

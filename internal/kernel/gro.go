@@ -218,8 +218,9 @@ func groParse(frame []byte, c *groCand) {
 // groRun feeds one poll's frames through the shard's GRO context and returns
 // the emitted frames (passthrough singles and finalized supersegments) in
 // per-flow arrival order. Per-frame driver receive costs are charged here;
-// stack entry costs are charged per emitted frame by deliverRun.
-func (k *Kernel) groRun(dev *netdev.Device, frames [][]byte, outs []groOut, m *sim.Meter) []groOut {
+// stack entry costs are charged per emitted frame by deliverRun. pollEnd is
+// false when more frames of the same poll follow in a later call.
+func (k *Kernel) groRun(dev *netdev.Device, frames [][]byte, pollEnd bool, outs []groOut, m *sim.Meter) []groOut {
 	defer k.trace("napi_gro_receive", m)()
 	ctx := k.groCtxFor(m)
 	ctx.mu.Lock()
@@ -237,7 +238,7 @@ func (k *Kernel) groRun(dev *netdev.Device, frames [][]byte, outs []groOut, m *s
 	}
 	// End of poll: with no flush timeout every hold drains now (napi
 	// complete); with one, unexpired holds wait for a later poll.
-	if to == 0 && ctx.active > 0 {
+	if pollEnd && to == 0 && ctx.active > 0 {
 		outs = ctx.flushAll(k, nil, outs, m)
 	}
 	ctx.mu.Unlock()

@@ -109,7 +109,7 @@ type Stats struct {
 
 	CpumapEnqueued    uint64 // frames spilled into a cpumap entry's ring
 	CpumapDrops       uint64 // frames lost to ring overflow or a torn-down entry
-	CpumapKthreadRuns uint64 // kthread wakeups that found work (one drain loop each)
+	CpumapKthreadRuns uint64 // kthread wakeups that found frames (one drain loop each)
 
 	RPSSteered      uint64 // frames handed to another CPU's RPS backlog
 	RPSBacklogDrops uint64 // frames lost to a full RPS backlog ring

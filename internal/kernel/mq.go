@@ -147,6 +147,14 @@ func (k *Kernel) DeliverBatch(dev *netdev.Device, frames [][]byte, m *sim.Meter)
 		return
 	}
 	m.Charge(sim.CostNAPIPoll)
+	k.deliverBatch(dev, frames, true, m)
+}
+
+// deliverBatch is DeliverBatch without the poll prologue. pollEnd=false
+// leaves GRO holds open for a later call of the same poll: a cpumap kthread
+// may drain one producer poll in several pieces and closes the GRO window
+// only at the producer's end-of-poll mark.
+func (k *Kernel) deliverBatch(dev *netdev.Device, frames [][]byte, pollEnd bool, m *sim.Meter) {
 	sc := rxScratchPool.Get().(*rxScratch)
 	th := k.tcIngressFor(dev.Index)
 	_, tcBatch := th.(TCBatchHandler)
@@ -166,7 +174,7 @@ func (k *Kernel) DeliverBatch(dev *netdev.Device, frames [][]byte, m *sim.Meter)
 	outs := b.outs[:0]
 	if gro {
 		sl, st := k.stageStart(m)
-		outs = k.groRun(dev, frames, outs, m)
+		outs = k.groRun(dev, frames, pollEnd, outs, m)
 		if sl != nil {
 			// One observation per coalesce pass (the burst-level cost),
 			// matching how napi_gro_receive shows up in a flame graph.
@@ -336,6 +344,10 @@ type CpumapEntry struct {
 	mu     sync.Mutex
 	ring   []cpumapFrame
 	closed bool
+	// The GRO window is one producer poll, however many drains the kthread
+	// takes to pop it: popped counts frames ever dequeued, and mark is
+	// popped + len(ring) as of the producer's last end-of-poll doorbell.
+	popped, mark uint64
 
 	doorbell chan struct{} // cap 1: coalesced wakeups, like wake_up_process
 	done     chan struct{} // closed by Stop; kthread drains and exits
@@ -347,6 +359,11 @@ type CpumapEntry struct {
 	delivered atomic.Uint64
 
 	cycles atomic.Uint64 // kthread meter total, published after each run
+	// ended is the mark of the last poll the kthread has ended, stored once
+	// its GRO window is closed, so Quiesce can wait for the flush as well.
+	ended   atomic.Uint64
+	polling bool // kthread only: the current poll has paid its prologue
+	found   bool // kthread only: this wakeup has popped a frame
 
 	// prog is the optional CPUMAP_VALUE_PROG; lat the optional per-frame
 	// queueing-latency observer. Both are atomic so they can be installed
@@ -470,12 +487,24 @@ func (e *CpumapEntry) EnqueueBatch(dev *netdev.Device, frames [][]byte, m *sim.M
 	return dropped, wasEmpty
 }
 
-// RingDoorbell wakes the kthread — the IPI-flavoured half of xdp_do_flush.
-// It is rung once per target per NAPI poll, plus on the first bulk spill
-// into an empty ring (wake_up_process fires as soon as __ptr_ring_produce
-// has work for a sleeping kthread; later spills find it already running and
-// coalesce into the pending wakeup). The cap-1 channel is that coalescing.
+// RingDoorbell wakes the kthread — the IPI-flavoured half of xdp_do_flush,
+// rung once per target per NAPI poll. It also marks the end of the
+// producer's poll: the kthread keeps GRO holds open across the drains that
+// pop this poll's frames and closes the window once it has popped them all,
+// so where a poll's frames split between drains does not move a merge.
 func (e *CpumapEntry) RingDoorbell(m *sim.Meter) {
+	e.mu.Lock()
+	e.mark = e.popped + uint64(len(e.ring))
+	e.mu.Unlock()
+	e.Wake(m)
+}
+
+// Wake wakes the kthread without ending the poll: the first bulk spill into
+// an empty ring rings it (wake_up_process fires as soon as
+// __ptr_ring_produce has work for a sleeping kthread; later spills find it
+// already running and coalesce into the pending wakeup). The cap-1 channel
+// is that coalescing.
+func (e *CpumapEntry) Wake(m *sim.Meter) {
 	m.Charge(sim.CostCpumapDoorbell)
 	select {
 	case e.doorbell <- struct{}{}:
@@ -498,11 +527,17 @@ func (e *CpumapEntry) Stop() {
 }
 
 // Quiesce blocks until every frame enqueued so far has been delivered to the
-// stack. Benchmarks and tests call it between polls so each poll's frames
-// land in exactly one kthread run — deterministic GRO windows and cycle
-// totals.
+// stack and every poll the producer has ended has had its GRO window
+// closed. Benchmarks and tests call it between polls to read counters that
+// no longer move.
 func (e *CpumapEntry) Quiesce() {
-	for e.delivered.Load() < e.enqueued.Load() {
+	for {
+		e.mu.Lock()
+		mark := e.mark
+		e.mu.Unlock()
+		if e.delivered.Load() >= e.enqueued.Load() && e.ended.Load() >= mark {
+			return
+		}
 		runtime.Gosched()
 	}
 }
@@ -517,23 +552,15 @@ func (e *CpumapEntry) kthread() {
 	for {
 		select {
 		case <-e.doorbell:
-			// One wakeup that finds work is one kthread run, however many
+			// One wakeup that finds frames is one kthread run, however many
 			// ptr_ring pops it takes to drain — the unit the real
 			// cpu_map_kthread_run loop counts between schedule() calls.
-			if e.drainOnce(local[:], &m) {
-				e.kern.ctr(&m).cpumapKthreadRuns.Add(1)
-				for e.drainOnce(local[:], &m) {
-				}
-			}
+			e.drain(local[:], &m)
 		case <-e.done:
 			// Final drain: producers observing closed already count their
 			// frames as drops, so everything still in the ring predates
 			// Stop and must be delivered.
-			if e.drainOnce(local[:], &m) {
-				e.kern.ctr(&m).cpumapKthreadRuns.Add(1)
-				for e.drainOnce(local[:], &m) {
-				}
-			}
+			e.drain(local[:], &m)
 			// napi_disable-style: flush any GRO holds still parked on the
 			// target shard so no segment is stranded by a map delete.
 			e.kern.groFlushShard(shardIdx(&m), nil, &m)
@@ -543,14 +570,24 @@ func (e *CpumapEntry) kthread() {
 	}
 }
 
-// drainOnce pops one run of up to NAPIBudget frames and delivers it.
-// Reports whether any frames were popped.
+// drain runs drainOnce until it finds nothing to do.
+func (e *CpumapEntry) drain(local []cpumapFrame, m *sim.Meter) {
+	e.found = false
+	for e.drainOnce(local, m) {
+	}
+}
+
+// drainOnce pops one run of up to NAPIBudget frames, never past the
+// producer's end-of-poll mark, and delivers it. The poll prologue is charged
+// at the first delivery of each producer poll and the GRO window closes at
+// the drain that reaches the mark, so both follow the producer's polls and
+// not the moments the kthread woke. Reports whether it did any work:
+// popping frames or ending a poll.
 func (e *CpumapEntry) drainOnce(local []cpumapFrame, m *sim.Meter) bool {
 	e.mu.Lock()
 	n := len(e.ring)
-	if n == 0 {
-		e.mu.Unlock()
-		return false
+	if e.popped < e.mark && uint64(n) > e.mark-e.popped {
+		n = int(e.mark - e.popped)
 	}
 	if n > len(local) {
 		n = len(local)
@@ -561,7 +598,20 @@ func (e *CpumapEntry) drainOnce(local []cpumapFrame, m *sim.Meter) bool {
 		e.ring[i] = cpumapFrame{} // let delivered frames go
 	}
 	e.ring = e.ring[:rest]
+	e.popped += uint64(n)
+	mark := e.mark
+	pollEnd := e.popped == mark && mark > e.ended.Load()
 	e.mu.Unlock()
+	if n == 0 && !pollEnd {
+		return false
+	}
+	if n > 0 && !e.found {
+		// Counted before delivery, so a reader that has seen the frames
+		// delivered sees the run. A wakeup that only ends a poll whose
+		// frames an earlier wakeup popped flushes GRO but is not a run.
+		e.kern.ctr(m).cpumapKthreadRuns.Add(1)
+		e.found = true
+	}
 
 	// ptr_ring consume + xdp_frame→skb prep, per frame.
 	m.Charge(sim.Cycles(n) * sim.CostCpumapDequeue)
@@ -606,9 +656,15 @@ func (e *CpumapEntry) drainOnce(local []cpumapFrame, m *sim.Meter) bool {
 		n = kept
 	}
 
-	// One DeliverBatch per same-device run: the batch stack (GRO, batched
+	// One batch delivery per same-device run: the batch stack (GRO, batched
 	// TC) keys its context on (shard, dev), so frames from one ingress
-	// device coalesce together just as they would on the RX CPU.
+	// device coalesce together just as they would on the RX CPU. The last
+	// run of the drain that reaches the mark ends the poll, as the RX CPU's
+	// one DeliverBatch per poll would.
+	if n > 0 && !e.polling {
+		m.Charge(sim.CostNAPIPoll)
+		e.polling = true
+	}
 	var frames [][]byte
 	run := 0
 	for run < n {
@@ -621,10 +677,22 @@ func (e *CpumapEntry) drainOnce(local []cpumapFrame, m *sim.Meter) bool {
 		for i := run; i < end; i++ {
 			frames = append(frames, local[i].frame)
 		}
-		e.kern.DeliverBatch(dev, frames, m)
+		e.kern.deliverBatch(dev, frames, pollEnd && end == n, m)
 		run = end
+	}
+	if pollEnd {
+		e.polling = false
+		if e.kern.groFlushTO.Load() == 0 {
+			// A no-op after a GRO run that ended the poll; otherwise the
+			// mark came after the last frame was popped, or the last run
+			// bypassed GRO, and holds from earlier drains are still open.
+			e.kern.groFlushShard(shardIdx(m), nil, m)
+		}
 	}
 	e.cycles.Store(uint64(m.Total))
 	e.delivered.Add(uint64(total))
+	if pollEnd {
+		e.ended.Store(mark)
+	}
 	return true
 }

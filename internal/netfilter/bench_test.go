@@ -1,55 +1,56 @@
 package netfilter
 
 import (
+	"fmt"
 	"testing"
 
 	"linuxfp/internal/packet"
 )
 
-// bench100 is a 100-rule FORWARD chain of /24 source drops and three packets:
-// one the first rule drops, one the last rule drops, one that walks all 100.
-func bench100(b *testing.B) (nf *Netfilter, first, last, miss *Meta) {
-	nf = New()
-	for i := 0; i < 100; i++ {
-		p := packet.Prefix{Addr: packet.AddrFrom4(203, 0, byte(i), 0), Bits: 24}
-		if err := nf.Append("FORWARD", Rule{Match: Match{Src: &p}, Target: VerdictDrop}); err != nil {
-			b.Fatal(err)
+// gatewayChain is the gateway's FORWARD chain at n rules: /24 source drops
+// on consecutive blocks of 203.0.0.0/8, the shape of Fig. 8's blacklist.
+func gatewayChain(tb testing.TB, n int) *Netfilter {
+	nf := New()
+	for i := 0; i < n; i++ {
+		if err := nf.Append("FORWARD", Rule{Match: Match{Src: gatewayPrefix(i)}, Target: VerdictDrop}); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	at := func(src string) *Meta {
-		return &Meta{Src: packet.MustAddr(src), Dst: packet.MustAddr("1.1.1.1"), Proto: packet.ProtoUDP}
-	}
-	return nf, at("203.0.0.9"), at("203.0.99.9"), at("8.8.8.8")
+	return nf
+}
+
+func gatewayPrefix(i int) *packet.Prefix {
+	return &packet.Prefix{Addr: packet.AddrFrom4(203, byte(i>>8), byte(i), 0), Bits: 24}
+}
+
+func udpFrom(src packet.Addr) *Meta {
+	return &Meta{Src: src, Dst: packet.MustAddr("1.1.1.1"), Proto: packet.ProtoUDP}
 }
 
 var sinkVerdict Verdict
 
-// BenchmarkChainEval100Rules times the evaluator through its two entries:
-// hook/ is EvaluateHook (slow path and generic helper: generation check and
-// snapshot load per packet), compiled/ a snapshot pinned once (the
-// specialised op). One evaluator serves both, so the pairs should agree.
-func BenchmarkChainEval100Rules(b *testing.B) {
-	nf, first, last, miss := bench100(b)
-	cp, ok := nf.Compile(HookForward)
-	if !ok {
-		b.Fatal("compile refused a jump-free chain")
-	}
-	for _, c := range []struct {
-		name string
-		m    *Meta
-	}{{"first", first}, {"last", last}, {"miss", miss}} {
-		b.Run("hook/"+c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sinkVerdict, _ = nf.EvaluateHook(HookForward, c.m)
-			}
-		})
-		b.Run("compiled/"+c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sinkVerdict, _ = cp.Evaluate(c.m)
-			}
-		})
+// BenchmarkChainEval times one EvaluateHook (generation check, snapshot
+// load, walk) against the gateway chain at four sizes: miss/ is clean
+// traffic, which no rule matches, and mid/ a packet the middle rule drops.
+// A linear walk grows with the rule count on both; the classifier's cost is
+// two binary searches plus a row AND of ⌈n/64⌉ words.
+func BenchmarkChainEval(b *testing.B) {
+	for _, n := range []int{1, 100, 500, 10000} {
+		nf := gatewayChain(b, n)
+		mid := udpFrom(gatewayPrefix(n/2).Addr + 9)
+		for _, c := range []struct {
+			name string
+			m    *Meta
+		}{{"miss", udpFrom(packet.MustAddr("8.8.8.8"))}, {"mid", mid}} {
+			b.Run(fmt.Sprintf("rules=%d/%s", n, c.name), func(b *testing.B) {
+				nf.EvaluateHook(HookForward, c.m) // the first walk builds the index
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sinkVerdict, _ = nf.EvaluateHook(HookForward, c.m)
+				}
+			})
+		}
 	}
 }
 
@@ -57,14 +58,36 @@ func BenchmarkChainEval100Rules(b *testing.B) {
 // once, the way one evaluation per RX queue does: readers share nothing but
 // the snapshot, so ns/op should not grow with -cpu.
 func BenchmarkChainEval100RulesParallel(b *testing.B) {
-	nf, _, _, miss := bench100(b)
+	nf := gatewayChain(b, 100)
+	miss := udpFrom(packet.MustAddr("8.8.8.8"))
+	nf.EvaluateHook(HookForward, miss)
 	b.ReportAllocs()
+	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		m := *miss
 		for pb.Next() {
 			nf.EvaluateHook(HookForward, &m)
 		}
 	})
+}
+
+// BenchmarkChainIndexBuild times what the first walk after a rule change
+// pays: both axes of the gateway chain's index. index_bytes is what the
+// index holds; its rows grow as n²/64 words per axis.
+func BenchmarkChainIndexBuild(b *testing.B) {
+	for _, n := range []int{100, 500, 10000} {
+		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {
+			cp := gatewayChain(b, n).Snapshot(HookForward)
+			recs := cp.chains[cp.entry]
+			b.ReportAllocs()
+			b.ResetTimer()
+			var ix *chainIndex
+			for i := 0; i < b.N; i++ {
+				ix = newChainIndex(recs)
+			}
+			b.ReportMetric(float64(ix.src.bytes()+ix.dst.bytes()), "index_bytes")
+		})
+	}
 }
 
 func BenchmarkIpsetContains(b *testing.B) {

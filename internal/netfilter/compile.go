@@ -15,9 +15,21 @@
 // a record holds the *IPSet the name resolved to, and probes read its live
 // contents under its own lock. Records also hold the live *Rule, so hit
 // counters land in the memory iptables -L reads, whichever snapshot counted.
+//
+// A walk does not test every record. Each chain has a bit-vector index over
+// its source and destination prefixes (the linear bit-vector search of
+// Lakshman and Stiliadis, which pcn-iptables runs): one binary search per
+// axis finds the packet's elementary interval, and the AND of the two rows
+// names the rules whose prefixes both cover the packet. Only those records
+// get the full check, in rule order, so verdicts, work counts and hit
+// counters are the linear walk's. The index is built by the first walk of
+// its chain, not by compileLocked, whose first caller after a rule change
+// is often the controller's reconcile and not a packet.
 package netfilter
 
 import (
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"linuxfp/internal/packet"
@@ -61,8 +73,11 @@ type Compiled struct {
 	CTRequired bool
 
 	chains [][]rec // every chain of the ruleset, shared by the five hooks
-	entry  int32   // the hook's built-in chain
-	jumps  bool    // the built-in chain has jump rules
+	// index[c] is chain c's classifier once a walk has built it; the slice
+	// is the ruleset's, so the five hooks share every build.
+	index []atomic.Pointer[chainIndex]
+	entry int32 // the hook's built-in chain
+	jumps bool  // the built-in chain has jump rules
 	// protoSkip is true when a packet whose protocol appears in no rule can
 	// bypass the walk: every rule names a specific protocol and the policy
 	// accepts. protos is the presence bitmap over the 8-bit protocol space.
@@ -124,13 +139,15 @@ func (nf *Netfilter) compileLocked(gen uint64) *ruleset {
 	for h := HookPrerouting; h <= HookPostrouting; h++ {
 		rules[h] = int32(len(nf.chains[h.String()].Rules))
 	}
+	idx := make([]atomic.Pointer[chainIndex], len(chains))
 	rs := &ruleset{gen: gen}
-	rs.hooks[0] = Compiled{Gen: gen, Policy: VerdictAccept, CTRequired: ct, rules: rules, chains: chains, entry: int32(len(order))}
+	rs.hooks[0] = Compiled{Gen: gen, Policy: VerdictAccept, CTRequired: ct, rules: rules,
+		chains: chains, index: idx, entry: int32(len(order))}
 	for h := HookPrerouting; h <= HookPostrouting; h++ {
 		c := nf.chains[h.String()]
 		cp := &rs.hooks[h]
 		*cp = Compiled{Gen: gen, Policy: c.Policy, CTRequired: ct, rules: rules,
-			chains: chains, entry: index[c.Name], protoSkip: c.Policy != VerdictDrop}
+			chains: chains, index: idx, entry: index[c.Name], protoSkip: c.Policy != VerdictDrop}
 		for _, r := range c.Rules {
 			cp.jumps = cp.jumps || r.Jump != ""
 			if r.Match.Proto == 0 {
@@ -220,60 +237,177 @@ func (cp *Compiled) CanSkipProto(proto uint8) bool {
 // verdict and the work counts, so each caller can charge its own cost model.
 func (cp *Compiled) Evaluate(m *Meta) (Verdict, EvalStats) {
 	var st EvalStats
-	v := cp.walk(cp.chains[cp.entry], m, &st, 0)
+	v := cp.walk(cp.entry, m, &st, 0)
 	if v == VerdictNone || v == VerdictReturn {
 		v = cp.Policy
 	}
 	return v, st
 }
 
-// walk checks one chain's rules in order. Set probes come after every other
-// criterion and stop at the first miss, so SetProbes counts what a hashed
-// lookup was paid for. Hit counters are atomic: walks run concurrently, one
-// per RX queue. A jump past maxJumpDepth counts its hit and is not taken.
-func (cp *Compiled) walk(chain []rec, m *Meta, st *EvalStats, depth int) Verdict {
-	for i := range chain {
-		r := &chain[i]
-		if m.Src&r.srcMask != r.srcVal || m.Dst&r.dstMask != r.dstVal ||
-			(r.proto != 0 && r.proto != m.Proto) {
-			continue
-		}
-		// Port matches never apply to non-first fragments: L4 header is absent.
-		if r.flags&fPorts != 0 && (m.Fragment ||
-			(r.srcPort != 0 && r.srcPort != m.SrcPort) ||
-			(r.dstPort != 0 && r.dstPort != m.DstPort)) {
-			continue
-		}
-		if (r.inIf != 0 && int(r.inIf) != m.InIf) ||
-			(r.outIf != 0 && int(r.outIf) != m.OutIf) ||
-			(r.ctState != 0 && CTState(r.ctState) != m.CTState) {
-			continue
-		}
-		if r.flags&fSrcSet != 0 {
-			st.SetProbes++
-			if r.srcSet == nil || !r.srcSet.Contains(m.Src) {
+// walk checks chain c's rules in order, visiting only the candidates its
+// index names; a rule the index rules out could not have passed the prefix
+// test below. Work counts stay positional, as in ipt_do_table: a walk that
+// ends at rule i has evaluated i+1 rules, and one that falls through has
+// evaluated the whole chain. Set probes come after every other criterion and stop at the
+// first miss, so SetProbes counts what a hashed lookup was paid for. Hit
+// counters are atomic: walks run concurrently, one per RX queue. A jump past
+// maxJumpDepth counts its hit and is not taken.
+func (cp *Compiled) walk(c int32, m *Meta, st *EvalStats, depth int) Verdict {
+	chain := cp.chains[c]
+	if len(chain) == 0 {
+		return VerdictNone
+	}
+	ix := cp.index[c].Load()
+	if ix == nil {
+		ix = cp.buildIndex(c)
+	}
+	srow, drow := ix.src.row(m.Src, ix.words), ix.dst.row(m.Dst, ix.words)
+	for w := range srow {
+		for cand := srow[w] & drow[w]; cand != 0; cand &= cand - 1 {
+			i := w<<6 | bits.TrailingZeros64(cand)
+			r := &chain[i]
+			if m.Src&r.srcMask != r.srcVal || m.Dst&r.dstMask != r.dstVal ||
+				(r.proto != 0 && r.proto != m.Proto) {
 				continue
 			}
-		}
-		if r.flags&fDstSet != 0 {
-			st.SetProbes++
-			if r.dstSet == nil || !r.dstSet.Contains(m.Dst) {
+			// Port matches never apply to non-first fragments: L4 header is absent.
+			if r.flags&fPorts != 0 && (m.Fragment ||
+				(r.srcPort != 0 && r.srcPort != m.SrcPort) ||
+				(r.dstPort != 0 && r.dstPort != m.DstPort)) {
 				continue
 			}
-		}
-		atomic.AddUint64(&r.rule.Packets, 1)
-		v := Verdict(r.target)
-		if r.jump >= 0 && depth < maxJumpDepth {
-			v = cp.walk(cp.chains[r.jump], m, st, depth+1)
-			if v == VerdictReturn {
-				v = VerdictNone // resume this chain
+			if (r.inIf != 0 && int(r.inIf) != m.InIf) ||
+				(r.outIf != 0 && int(r.outIf) != m.OutIf) ||
+				(r.ctState != 0 && CTState(r.ctState) != m.CTState) {
+				continue
 			}
-		}
-		if v != VerdictNone {
-			st.RulesEvaluated += i + 1
-			return v
+			if r.flags&fSrcSet != 0 {
+				st.SetProbes++
+				if r.srcSet == nil || !r.srcSet.Contains(m.Src) {
+					continue
+				}
+			}
+			if r.flags&fDstSet != 0 {
+				st.SetProbes++
+				if r.dstSet == nil || !r.dstSet.Contains(m.Dst) {
+					continue
+				}
+			}
+			atomic.AddUint64(&r.rule.Packets, 1)
+			v := Verdict(r.target)
+			if r.jump >= 0 && depth < maxJumpDepth {
+				v = cp.walk(r.jump, m, st, depth+1)
+				if v == VerdictReturn {
+					v = VerdictNone // resume this chain
+				}
+			}
+			if v != VerdictNone {
+				st.RulesEvaluated += i + 1
+				return v
+			}
 		}
 	}
 	st.RulesEvaluated += len(chain)
 	return VerdictNone
+}
+
+// chainIndex classifies a packet against one chain: bit i of a row stands
+// for rule i, and a row holds ⌈n/64⌉ words.
+type chainIndex struct {
+	words    int
+	src, dst axis
+}
+
+// axis cuts the 32-bit space at every prefix boundary of one match field.
+// starts holds the first address of each elementary interval, ascending and
+// starting at 0; rows[k*words:] is interval k's row, in which a rule is set
+// when its prefix covers the interval. A rule without a prefix on the axis
+// has mask 0, covers the whole space, and is set in every row.
+type axis struct {
+	starts []uint32
+	rows   []uint64
+}
+
+// buildIndex builds chain c's index and publishes it. Walkers that race
+// here may each build one; the first to publish wins, and all walk that one.
+func (cp *Compiled) buildIndex(c int32) *chainIndex {
+	ix := newChainIndex(cp.chains[c])
+	if !cp.index[c].CompareAndSwap(nil, ix) {
+		ix = cp.index[c].Load()
+	}
+	return ix
+}
+
+func newChainIndex(chain []rec) *chainIndex {
+	ix := &chainIndex{words: (len(chain) + 63) / 64}
+	edges := make([]uint64, 0, 2*len(chain))
+	for i := range chain {
+		edges = appendEdges(edges, i, chain[i].srcVal, chain[i].srcMask)
+	}
+	ix.src = newAxis(edges, ix.words)
+	edges = edges[:0]
+	for i := range chain {
+		edges = appendEdges(edges, i, chain[i].dstVal, chain[i].dstMask)
+	}
+	ix.dst = newAxis(edges, ix.words)
+	return ix
+}
+
+// appendEdges appends rule i's two edges on one axis, each packed as
+// addr<<32 | i<<1 | remove so that one sort orders a sweep: the rule enters
+// at its prefix's first address and leaves one past its last. A prefix that
+// ends at 255.255.255.255 never leaves.
+func appendEdges(edges []uint64, i int, val, mask packet.Addr) []uint64 {
+	r := uint64(i) << 1
+	edges = append(edges, uint64(val)<<32|r)
+	if end := uint64(val | ^mask); end != 1<<32-1 {
+		edges = append(edges, (end+1)<<32|r|1)
+	}
+	return edges
+}
+
+// newAxis sweeps the sorted edges once, emitting the running row at each
+// distinct address: at most 2n+1 intervals.
+func newAxis(edges []uint64, words int) axis {
+	slices.Sort(edges)
+	k := 1 // the interval starting at 0, whether or not an edge is there
+	for j := range edges {
+		if a := edges[j] >> 32; a != 0 && (j == 0 || a != edges[j-1]>>32) {
+			k++
+		}
+	}
+	ax := axis{starts: make([]uint32, 1, k), rows: make([]uint64, k*words)}
+	cur := ax.rows[:words] // row 0 accumulates the edges at address 0
+	for j := 0; j < len(edges); {
+		a := edges[j] >> 32
+		if a != 0 {
+			next := ax.rows[len(ax.starts)*words:][:words]
+			copy(next, cur)
+			cur = next
+			ax.starts = append(ax.starts, uint32(a))
+		}
+		for ; j < len(edges) && edges[j]>>32 == a; j++ {
+			i := uint32(edges[j]) >> 1
+			if edges[j]&1 == 0 {
+				cur[i>>6] |= 1 << (i & 63)
+			} else {
+				cur[i>>6] &^= 1 << (i & 63)
+			}
+		}
+	}
+	return ax
+}
+
+// row returns the row of the interval holding a.
+func (ax *axis) row(a packet.Addr, words int) []uint64 {
+	lo, hi := 0, len(ax.starts) // starts[lo] <= a < starts[hi]
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if ax.starts[mid] <= uint32(a) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return ax.rows[lo*words:][:words]
 }

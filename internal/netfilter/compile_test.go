@@ -175,3 +175,35 @@ func TestCompileResolvesSets(t *testing.T) {
 		t.Fatalf("post-compile set member got %v, want drop", v)
 	}
 }
+
+// TestEvaluateAllocatesNothing pins the steady state: once the first walk
+// has built the index, a walk through the snapshot or through the hook
+// allocates nothing.
+func TestEvaluateAllocatesNothing(t *testing.T) {
+	nf := gatewayChain(t, 100)
+	cp := nf.Snapshot(HookForward)
+	miss, hit := udpFrom(packet.MustAddr("8.8.8.8")), udpFrom(gatewayPrefix(50).Addr+9)
+	cp.Evaluate(miss)
+	if n := testing.AllocsPerRun(200, func() {
+		cp.Evaluate(miss)
+		cp.Evaluate(hit)
+		nf.EvaluateHook(HookForward, miss)
+	}); n != 0 {
+		t.Errorf("steady-state Evaluate allocates %.1f times, want 0", n)
+	}
+}
+
+// bytes reports the memory the axis holds.
+func (ax *axis) bytes() int { return 4*len(ax.starts) + 8*len(ax.rows) }
+
+// TestIndexBytesAtFig8 bounds the classifier at Fig. 8's largest point, the
+// 500-rule gateway chain: at most 64 KiB per axis.
+func TestIndexBytesAtFig8(t *testing.T) {
+	cp := gatewayChain(t, 500).Snapshot(HookForward)
+	ix := newChainIndex(cp.chains[cp.entry])
+	for name, ax := range map[string]*axis{"src": &ix.src, "dst": &ix.dst} {
+		if b := ax.bytes(); b > 64<<10 {
+			t.Errorf("%s axis holds %d bytes at 500 rules, want at most %d", name, b, 64<<10)
+		}
+	}
+}

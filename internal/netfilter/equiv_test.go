@@ -3,6 +3,7 @@ package netfilter
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"linuxfp/internal/packet"
@@ -15,6 +16,7 @@ type nfPair struct {
 	t        testing.TB
 	rng      *rand.Rand
 	ref, dut *Netfilter
+	drawn    []packet.Prefix // prefixes handed to rules, for duplicates, nesting and edges
 }
 
 var (
@@ -25,20 +27,76 @@ var (
 	equivBits   = []int{0, 1, 8, 15, 16, 24, 31, 32}
 )
 
+// spaceEdges are the addresses where the classifier's intervals meet the
+// ends of the space and the boundary between its two /1 halves.
+var spaceEdges = []packet.Addr{0, 0x7fffffff, 0x80000000, 0xffffffff}
+
 // addr draws from a handful of /16s so that prefixes, sets and packets
-// overlap often.
+// overlap often, and now and then from the edges of the space.
 func (p *nfPair) addr() packet.Addr {
+	if p.rng.Intn(8) == 0 {
+		return pick(p.rng, spaceEdges)
+	}
 	return packet.AddrFrom4(10, byte(p.rng.Intn(3)), byte(p.rng.Intn(2)), byte(p.rng.Intn(4)))
 }
 
+// prefix draws a rule prefix: mostly a fresh one, sometimes a /1 on either
+// half of the space, a duplicate of one already drawn, or one nested in or
+// around it.
 func (p *nfPair) prefix() packet.Prefix {
-	// Host bits are left set: a rule's prefix need not be masked.
-	return packet.Prefix{Addr: p.addr(), Bits: equivBits[p.rng.Intn(len(equivBits))]}
+	rng := p.rng
+	var pf packet.Prefix
+	switch k := rng.Intn(10); {
+	case k == 0:
+		pf = packet.Prefix{Addr: pick(rng, spaceEdges), Bits: 1}
+	case k <= 2 && len(p.drawn) > 0:
+		pf = pick(rng, p.drawn)
+		if k == 2 {
+			pf.Bits = pick(rng, equivBits)
+		}
+	default:
+		// Host bits are left set: a rule's prefix need not be masked.
+		pf = packet.Prefix{Addr: p.addr(), Bits: pick(rng, equivBits)}
+	}
+	if len(p.drawn) < 64 {
+		p.drawn = append(p.drawn, pf)
+	}
+	return pf
+}
+
+// packetAddr is addr, or one of the addresses where a drawn prefix starts
+// or ends, or the one just outside it: where an interval boundary off by
+// one would show.
+func (p *nfPair) packetAddr() packet.Addr {
+	rng := p.rng
+	if len(p.drawn) == 0 || rng.Intn(3) != 0 {
+		return p.addr()
+	}
+	pf := pick(rng, p.drawn)
+	first := pf.Addr & pf.Mask()
+	last := first | ^pf.Mask()
+	return pick(rng, []packet.Addr{first, last, first - 1, last + 1})
 }
 
 func pick[T any](rng *rand.Rand, v []T) T { return v[rng.Intn(len(v))] }
 
-func (p *nfPair) rule() Rule {
+var userChains = []string{"U0", "U1", "U2", "U3"}
+
+// hasJump reports whether chain is a user chain that already holds a jump
+// rule. Random jumps may form loops and self-jumps, which both evaluators
+// walk once per path to maxJumpDepth: with at most one jump per user chain
+// (built-in chains are never jump targets) each path is a line, so a walk
+// visits at most maxJumpDepth chains per jump rule in a built-in chain
+// instead of a number exponential in the matching jumps.
+func (p *nfPair) hasJump(chain string) bool {
+	if !slices.Contains(userChains, chain) {
+		return false
+	}
+	c, _ := p.ref.Chain(chain)
+	return slices.ContainsFunc(c.Rules, func(r *Rule) bool { return r.Jump != "" })
+}
+
+func (p *nfPair) rule(chain string) Rule {
 	rng := p.rng
 	var r Rule
 	if rng.Intn(2) == 0 {
@@ -84,8 +142,11 @@ func (p *nfPair) rule() Rule {
 		// no target: the rule only counts
 	default:
 		// Jumps into user chains, themselves and chains that may not exist
-		// yet; a jump rule's Target must be ignored.
-		r.Jump = pick(rng, []string{"U0", "U1", "U2", "U3"})
+		// yet; a jump rule's Target must be ignored. A user chain that
+		// already jumps gets the Target alone.
+		if !p.hasJump(chain) {
+			r.Jump = pick(rng, userChains)
+		}
 		r.Target = Verdict(rng.Intn(3))
 	}
 	return r
@@ -94,7 +155,7 @@ func (p *nfPair) rule() Rule {
 func (p *nfPair) meta() Meta {
 	rng := p.rng
 	m := Meta{
-		Src: p.addr(), Dst: p.addr(), Proto: pick(rng, equivProtos[1:]),
+		Src: p.packetAddr(), Dst: p.packetAddr(), Proto: pick(rng, equivProtos[1:]),
 		InIf: rng.Intn(3), OutIf: rng.Intn(3), CTState: CTState(rng.Intn(4)),
 		Fragment: rng.Intn(4) == 0,
 	}
@@ -128,10 +189,10 @@ func (p *nfPair) mutate() {
 	chain := pick(rng, equivChains)
 	switch rng.Intn(12) {
 	case 0, 1, 2:
-		r := p.rule()
+		r := p.rule(chain)
 		p.both("append", func(nf *Netfilter) error { return nf.Append(chain, r) })
 	case 3, 4:
-		r, pos := p.rule(), 1+rng.Intn(p.ref.RuleCount(chain)+1)
+		r, pos := p.rule(chain), 1+rng.Intn(p.ref.RuleCount(chain)+1)
 		p.both("insert", func(nf *Netfilter) error { return nf.Insert(chain, pos, r) })
 	case 5:
 		pos := 1 + rng.Intn(p.ref.RuleCount(chain)+1) // sometimes one past the end
@@ -162,7 +223,7 @@ func (p *nfPair) mutate() {
 			return s.Add(pf)
 		})
 	case 11:
-		name := pick(rng, []string{"U0", "U1", "U2", "U3"})
+		name := pick(rng, userChains)
 		p.both("new chain", func(nf *Netfilter) error { return nf.NewChain(name) })
 	}
 }
@@ -213,15 +274,34 @@ func (p *nfPair) check(n int) {
 	}
 }
 
+// grow appends to one chain until it holds more than 130 rules, so its
+// classifier rows span three words and candidates straddle bits 63/64 and
+// 127/128. It appends no jumps, so the jump rules a walk may take stay few,
+// and three in four of its rules only count, so walks reach deep.
+func (p *nfPair) grow() {
+	chain := pick(p.rng, equivChains)
+	for p.ref.RuleCount(chain) <= 130 {
+		r := p.rule(chain)
+		if r.Jump != "" || p.rng.Intn(4) != 0 {
+			r.Jump, r.Target = "", VerdictNone
+		}
+		p.both("append", func(nf *Netfilter) error { return nf.Append(chain, r) })
+	}
+}
+
 // runEquivalence grows a random ruleset and checks it after every few
 // mutations, so each check runs against a snapshot built after interleaved
-// inserts, deletes, flushes, policy and set changes.
+// inserts, deletes, flushes, policy and set changes. Halfway through, one
+// chain grows long.
 func runEquivalence(t testing.TB, seed int64, steps int) {
 	p := &nfPair{t: t, rng: rand.New(rand.NewSource(seed)), ref: New(), dut: New()}
 	for _, u := range []string{"U0", "U1", "U2"} {
 		p.both("new chain", func(nf *Netfilter) error { return nf.NewChain(u) })
 	}
 	for i := 0; i < steps; i++ {
+		if i == steps/2 {
+			p.grow()
+		}
 		for j := p.rng.Intn(6); j >= 0; j-- {
 			p.mutate()
 		}
@@ -242,6 +322,38 @@ func FuzzEvaluate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8) {
 		runEquivalence(t, seed, int(steps%64))
 	})
+}
+
+// TestJumpLoopsMatchInterpreter pins two loop shapes, cut at maxJumpDepth,
+// that the random harness reaches only by chance: a self-jumping chain whose
+// jump sits past bit 64, and a loop of two chains.
+func TestJumpLoopsMatchInterpreter(t *testing.T) {
+	p := &nfPair{t: t, rng: rand.New(rand.NewSource(1)), ref: New(), dut: New()}
+	for _, u := range []string{"SELF", "PING", "PONG"} {
+		p.both("new chain", func(nf *Netfilter) error { return nf.NewChain(u) })
+	}
+	app := func(chain string, r Rule) {
+		p.both("append", func(nf *Netfilter) error { return nf.Append(chain, r) })
+	}
+	for i := 0; i < 70; i++ {
+		pf := packet.Prefix{Addr: packet.AddrFrom4(10, 0, byte(i&1), 0), Bits: 24}
+		app("SELF", Rule{Match: Match{Src: &pf}})
+		if i == 66 {
+			app("SELF", Rule{Jump: "SELF"})
+		}
+	}
+	drop := packet.MustPrefix("10.0.1.0/24")
+	app("SELF", Rule{Match: Match{Src: &drop}, Target: VerdictDrop})
+	app("PING", Rule{Match: Match{Proto: packet.ProtoUDP}})
+	app("PING", Rule{Jump: "PONG"})
+	app("PONG", Rule{Jump: "PING"})
+	app("PONG", Rule{Match: Match{Proto: packet.ProtoTCP}, Target: VerdictDrop})
+	app("FORWARD", Rule{Match: Match{Proto: packet.ProtoICMP}, Jump: "PING"})
+	app("FORWARD", Rule{Jump: "SELF"})
+	app("INPUT", Rule{Jump: "PING"})
+	for i := 0; i < 64; i++ {
+		p.check(8)
+	}
 }
 
 // TestDestroyedSetStopsMatching pins the case a pinned set pointer would get

@@ -113,3 +113,70 @@ func TestMutatingVerbsAllocNoMore(t *testing.T) {
 		t.Errorf("Insert+Delete allocate %.1f times, want at most 1", n)
 	}
 }
+
+// TestFirstWalkersAgree starts eight walkers at once on snapshots nobody has
+// walked, so they race to build and publish the chain's index: each must
+// get the verdicts and work counts of the reference interpreter, and the
+// hit counters must sum what every walker counted.
+func TestFirstWalkersAgree(t *testing.T) {
+	const walkers, rounds = 8, 16
+	ref, dut := New(), New()
+	for i := 0; i < 100; i++ {
+		r := Rule{Match: Match{Src: gatewayPrefix(i % 50)}, Target: VerdictDrop}
+		if i < 50 {
+			r.Target = VerdictNone // the first pass only counts
+		}
+		if i%7 == 0 {
+			r.Match.Dst = &packet.Prefix{Addr: packet.AddrFrom4(1, 1, byte(i), 0), Bits: 24 - i%16}
+		}
+		ref.Append("FORWARD", r)
+		dut.Append("FORWARD", r)
+	}
+	var metas []Meta
+	for i := 0; i < 64; i++ {
+		metas = append(metas, Meta{
+			Src: gatewayPrefix(i).Addr + packet.Addr(i), Dst: packet.AddrFrom4(1, 1, byte(i*3), 1),
+			Proto: packet.ProtoUDP,
+		})
+	}
+	type result struct {
+		v  Verdict
+		st EvalStats
+	}
+	want := make([]result, len(metas))
+	for i := range metas {
+		want[i].v, want[i].st = ref.refEvaluateHook(HookForward, &metas[i])
+	}
+	for round := 0; round < rounds; round++ {
+		dut.SetPolicy("FORWARD", VerdictAccept) // a new generation: no index yet
+		cp := dut.Snapshot(HookForward)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < walkers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := range metas {
+					m := metas[i]
+					if v, st := cp.Evaluate(&m); v != want[i].v || st != want[i].st {
+						t.Errorf("round %d packet %d: %v %+v, reference %v %+v", round, i, v, st, want[i].v, want[i].st)
+						return
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+	}
+	cr, _ := ref.Chain("FORWARD")
+	cd, _ := dut.Chain("FORWARD")
+	for i := range cr.Rules {
+		if got, want := cd.Rules[i].Packets, walkers*rounds*cr.Rules[i].Packets; got != want {
+			t.Fatalf("rule %d: %d hits, want %d", i+1, got, want)
+		}
+	}
+}
