@@ -92,6 +92,7 @@ func run(script string, graph, preferTC, metricsOut bool) error {
 	if metricsOut {
 		metrics.WriteKernel(os.Stdout, sys.Kernel)
 		metrics.WritePrograms(os.Stdout, ctrl.Deployer().Loader())
+		metrics.WriteReconcile(os.Stdout, ctrl.ReconcileStats())
 	}
 	return nil
 }

@@ -31,6 +31,21 @@ type Reaction struct {
 	Modules    int           // module instances synthesized
 	NewModules int           // module instances not present before
 	Deployed   bool
+
+	// Per-interface outcomes; all zero when the graph was unchanged and
+	// nothing was synthesized.
+	IfDeployed    int // program loaded, then attached or swapped in
+	SynthRejected int // synthesis declined or failed: the interface stays slow
+	LoadFailed    int // the program failed to load or attach: it stays slow
+}
+
+// ReconcileStats are the controller's reconcile outcomes summed over every
+// reaction, including those the reaction log has since overwritten.
+type ReconcileStats struct {
+	Reconciles    uint64
+	IfDeployed    uint64
+	SynthRejected uint64
+	LoadFailed    uint64
 }
 
 // reactionLog is how many reactions the controller retains.
@@ -55,11 +70,15 @@ type Controller struct {
 	syncReq chan chan struct{}    // Sync's ack channels, served by the daemon
 	graph   atomic.Pointer[Graph] // published by every reconcile
 
-	mu         sync.Mutex // guards the lifecycle and the reaction log
+	// deploy is deployer.Deploy; tests wrap it to inject load failures.
+	deploy func(*IfaceGraph, *ebpf.Program) error
+
+	mu         sync.Mutex // guards the lifecycle, the reaction log and totals
 	started    bool
 	stop, done chan struct{}
 	reactions  []Reaction // ring of reactionLog; oldest at reactNext once full
 	reactNext  int
+	totals     ReconcileStats
 }
 
 // New builds a controller for a kernel.
@@ -69,7 +88,7 @@ func New(k *kernel.Kernel, opts Options) *Controller {
 	if opts.DisabledHelpers != 0 {
 		caps.DisableHelper(opts.DisabledHelpers)
 	}
-	return &Controller{
+	c := &Controller{
 		K:        k,
 		store:    store,
 		topo:     NewTopologyManager(store, caps),
@@ -77,6 +96,8 @@ func New(k *kernel.Kernel, opts Options) *Controller {
 		deployer: NewDeployer(ebpf.NewLoader(k)),
 		syncReq:  make(chan chan struct{}),
 	}
+	c.deploy = c.deployer.Deploy
+	return c
 }
 
 // Start launches the daemon, which subscribes to kernel notifications,
@@ -229,29 +250,33 @@ func (c *Controller) reconcile(trigger string, netfilterTouched bool) {
 	fp := graph.Fingerprint()
 	changed := fp != c.lastPrint
 
-	deployed := false
+	var ifDeployed, synthRejected, loadFailed int
 	filterInvolved := false
 	var loadWall, swapWall time.Duration
 	if changed {
 		// Synthesize and deploy every interface in the new graph (the
-		// controller regenerates the whole data path, paper §III-C).
+		// controller regenerates the whole data path, paper §III-C). An
+		// interface that cannot be accelerated falls back to the slow path
+		// and is counted, never silently skipped.
 		for _, ig := range graph.Interfaces {
 			prog, err := c.synth.Synthesize(ig)
 			if err != nil || prog == nil {
 				c.deployer.Undeploy(ig.Name)
+				synthRejected++
 				continue
 			}
 			if findNode(ig, FPMFilter) != nil {
 				filterInvolved = true
 			}
-			if err := c.deployer.Deploy(ig, prog); err != nil {
+			if err := c.deploy(ig, prog); err != nil {
 				c.deployer.Undeploy(ig.Name)
+				loadFailed++
 				continue
 			}
 			lw, sw := c.deployer.LastTiming()
 			loadWall += lw
 			swapWall += sw
-			deployed = true
+			ifDeployed++
 		}
 		// Interfaces that dropped out of the graph go back to slow path.
 		for _, name := range c.deployer.Deployed() {
@@ -283,17 +308,22 @@ func (c *Controller) reconcile(trigger string, netfilterTouched bool) {
 	c.record(Reaction{
 		Trigger: trigger, Virtual: virtual, Wall: time.Since(start),
 		LoadWall: loadWall, SwapWall: swapWall,
-		Modules: len(modules), NewModules: newCount, Deployed: deployed,
+		Modules: len(modules), NewModules: newCount, Deployed: ifDeployed > 0,
+		IfDeployed: ifDeployed, SynthRejected: synthRejected, LoadFailed: loadFailed,
 	})
 	// After the reaction: whoever sees the new graph also sees its reaction.
 	c.graph.Store(graph)
 }
 
 // record appends a reaction to the log, overwriting the oldest once the log
-// holds reactionLog of them.
+// holds reactionLog of them, and adds its outcomes to the totals.
 func (c *Controller) record(r Reaction) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.totals.Reconciles++
+	c.totals.IfDeployed += uint64(r.IfDeployed)
+	c.totals.SynthRejected += uint64(r.SynthRejected)
+	c.totals.LoadFailed += uint64(r.LoadFailed)
 	if len(c.reactions) < reactionLog {
 		c.reactions = append(c.reactions, r)
 		return
@@ -344,6 +374,13 @@ func (c *Controller) Reactions() []Reaction {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append(append([]Reaction(nil), c.reactions[c.reactNext:]...), c.reactions[:c.reactNext]...)
+}
+
+// ReconcileStats returns the cumulative reconcile outcomes.
+func (c *Controller) ReconcileStats() ReconcileStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.totals
 }
 
 // LastReaction returns the most recent reaction, if any.

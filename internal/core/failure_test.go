@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"linuxfp/internal/ebpf"
 	"linuxfp/internal/fib"
 	"linuxfp/internal/netdev"
 	"linuxfp/internal/netfilter"
@@ -199,4 +201,53 @@ func TestControllerScalesToLargeConfigurations(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("incremental reconcile took %v", elapsed)
 	}
+}
+
+// TestReconcileCountsOutcomes: an interface the controller cannot accelerate
+// is counted on the reaction and in the cumulative stats, by cause, and
+// falls back to the slow path.
+func TestReconcileCountsOutcomes(t *testing.T) {
+	t.Run("load failure", func(t *testing.T) {
+		w := newRouterWorld(t)
+		c := New(w.dut, Options{})
+		injected := errors.New("injected load failure")
+		c.deploy = func(ig *IfaceGraph, p *ebpf.Program) error {
+			if ig.Name == "eth0" {
+				return injected
+			}
+			return c.deployer.Deploy(ig, p)
+		}
+		c.Start()
+		t.Cleanup(c.Stop)
+		r, ok := c.LastReaction()
+		if !ok || r.IfDeployed != 1 || r.LoadFailed != 1 || r.SynthRejected != 0 || !r.Deployed {
+			t.Fatalf("reaction %+v", r)
+		}
+		if st := c.ReconcileStats(); st != (ReconcileStats{Reconciles: 1, IfDeployed: 1, LoadFailed: 1}) {
+			t.Fatalf("stats %+v", st)
+		}
+		if ok, _ := w.in.XDPAttached(); ok {
+			t.Fatal("failed interface carries a program")
+		}
+		if ok, _ := w.out.XDPAttached(); !ok {
+			t.Fatal("healthy interface not accelerated")
+		}
+		// The failed ingress falls back to the slow path.
+		fwd := w.dut.Stats().Forwarded
+		w.sendUDP(packet.MustAddr("10.100.5.5"))
+		if w.captured != 1 || w.dut.Stats().Forwarded != fwd+1 {
+			t.Fatal("traffic on the failed interface not forwarded by the slow path")
+		}
+	})
+	t.Run("synthesis rejected", func(t *testing.T) {
+		w := newRouterWorld(t)
+		c := startController(t, w.dut, Options{DisabledHelpers: ebpf.CapHelperFIB})
+		r, _ := c.LastReaction()
+		if r.SynthRejected != 2 || r.IfDeployed != 0 || r.LoadFailed != 0 || r.Deployed {
+			t.Fatalf("reaction %+v", r)
+		}
+		if st := c.ReconcileStats(); st.SynthRejected != 2 || st.IfDeployed != 0 {
+			t.Fatalf("stats %+v", st)
+		}
+	})
 }

@@ -3,6 +3,8 @@ package ebpf
 import (
 	"testing"
 
+	"linuxfp/internal/kernel"
+	"linuxfp/internal/netdev"
 	"linuxfp/internal/sim"
 )
 
@@ -102,4 +104,33 @@ func TestSpecializedHotPathZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() { p.exec(ctx) }); avg != 0 {
 		t.Fatalf("specialized hot path allocates %.1f per exec, want 0", avg)
 	}
+}
+
+// BenchmarkXDPBatchPerFrame is one 64-frame NAPI poll through a one-op
+// program, so the per-frame figure is the batch adapter's own overhead:
+// starting each frame's context and mapping its verdict. ns/frame is the
+// number to watch.
+func BenchmarkXDPBatchPerFrame(b *testing.B) {
+	k := kernel.New("bench")
+	p := &Program{Name: "pass", Hook: HookXDP, Ops: []Op{
+		NewOp("pass", 1, 0, 1, func(*Ctx) Verdict { return VerdictPass }),
+	}}
+	if _, err := NewLoader(k).Load(p); err != nil {
+		b.Fatal(err)
+	}
+	a := &xdpAdapter{k: k, prog: p}
+	const poll = netdev.NAPIBudget
+	var m sim.Meter
+	frame := make([]byte, 64)
+	bufs := make([]*netdev.XDPBuff, poll)
+	acts := make([]netdev.XDPAction, poll)
+	for i := range bufs {
+		bufs[i] = &netdev.XDPBuff{Data: frame, IfIndex: 1, Meter: &m}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.HandleXDPBatch(bufs, acts)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*poll), "ns/frame")
 }

@@ -270,3 +270,25 @@ func BenchmarkCpumapProducerPoll(b *testing.B) {
 	b.StopTimer()
 	cm.Quiesce()
 }
+
+// TestCPUMapValueProgZeroAllocs pins the kthread's per-frame value-program
+// run at zero allocations: the context and the xdp_buff come from one pool.
+func TestCPUMapValueProgZeroAllocs(t *testing.T) {
+	k, d := newCpumapKernel(t)
+	l := NewLoader(k)
+	frame := packet.BuildEthernet(packet.Ethernet{EtherType: packet.EtherTypeIPv4}, make([]byte, 46))
+	for _, v := range []Verdict{VerdictDrop, VerdictPass} {
+		prog, err := l.Load(&Program{Name: "value_" + v.String(), Hook: HookXDP, Ops: []Op{opReturning("verdict", v)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := valueProg(k, prog)
+		var m sim.Meter
+		if deliver, _ := run(d, frame, &m); deliver != (v == VerdictPass) {
+			t.Fatalf("%v: deliver = %v", v, deliver)
+		}
+		if avg := testing.AllocsPerRun(200, func() { run(d, frame, &m) }); avg != 0 {
+			t.Fatalf("%v: value program allocates %.1f per frame, want 0", v, avg)
+		}
+	}
+}

@@ -100,6 +100,11 @@ const MaxTailCalls = 33
 // Ctx is the execution context of one program run: the packet plus scratch
 // state the parse ops populate for downstream ops (in real eBPF these are
 // registers/stack; here they are typed fields).
+//
+// A runner keeps one Ctx for a whole NAPI poll, as the kernel's driver loop
+// keeps one xdp_buff: bind sets the poll-invariant fields (Kernel, Hook and
+// the JIT switches) once, and reset starts each frame. Every other field is
+// per-frame state.
 type Ctx struct {
 	Kernel  *kernel.Kernel
 	Meter   *sim.Meter
@@ -156,6 +161,24 @@ type Ctx struct {
 	depth int  // tail-call depth
 	jit   bool // run fused (JIT) program bodies, including tail-call targets
 	spec  bool // prefer the specialized body when one exists (implies jit)
+}
+
+// bind sets the fields that hold for every frame of one poll: the kernel,
+// the hook, and the JIT switches, read once.
+func (c *Ctx) bind(k *kernel.Kernel, hook Hook) {
+	c.Kernel, c.Hook = k, hook
+	c.jit, c.spec = k.BPFJITEnabled(), k.BPFSpecEnabled()
+}
+
+// reset is what a frame's context starts with: every per-frame field
+// (parsed headers, the FIB result, redirect targets, tail-call depth) is
+// cleared in place and the frame's inputs are set, while the fields bind set
+// keep their values.
+func (c *Ctx) reset(m *sim.Meter, ifindex int, xdp *netdev.XDPBuff, skb *kernel.SKB) {
+	k, hook, jit, spec := c.Kernel, c.Hook, c.jit, c.spec
+	*c = Ctx{}
+	c.Kernel, c.Hook, c.jit, c.spec = k, hook, jit, spec
+	c.Meter, c.IfIndex, c.XDP, c.SKB = m, ifindex, xdp, skb
 }
 
 // CPU reports the virtual core the packet is being processed on (per-CPU

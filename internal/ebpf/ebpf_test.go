@@ -303,26 +303,26 @@ func TestHelperFIBLookup(t *testing.T) {
 
 	ctx := &Ctx{Kernel: k, Meter: &sim.Meter{}}
 	// No neighbour entry yet: helper must miss (punt to slow path).
-	if _, ok := HelperFIBLookup(ctx, packet.MustAddr("10.5.1.1")); ok {
-		t.Fatal("unresolved neighbour should miss")
+	if HelperFIBLookup(ctx, packet.MustAddr("10.5.1.1")) || ctx.FIBOk || ctx.FIB != (FIBResult{}) {
+		t.Fatalf("unresolved neighbour should miss and leave the result unwritten: %+v ok=%v", ctx.FIB, ctx.FIBOk)
 	}
 	gwMAC := packet.MustHWAddr("02:00:00:00:aa:01")
 	k.Neigh.AddPermanent(packet.MustAddr("10.0.0.254"), gwMAC, d.Index)
-	res, ok := HelperFIBLookup(ctx, packet.MustAddr("10.5.1.1"))
-	if !ok || res.EgressIfIndex != d.Index || res.DstMAC != gwMAC || res.SrcMAC != d.MAC {
-		t.Fatalf("fib helper: %+v ok=%v", res, ok)
+	ok := HelperFIBLookup(ctx, packet.MustAddr("10.5.1.1"))
+	if res := ctx.FIB; !ok || !ctx.FIBOk || res.EgressIfIndex != d.Index || res.DstMAC != gwMAC || res.SrcMAC != d.MAC {
+		t.Fatalf("fib helper: %+v ok=%v FIBOk=%v", res, ok, ctx.FIBOk)
 	}
 	// No route at all.
-	if _, ok := HelperFIBLookup(ctx, packet.MustAddr("99.9.9.9")); ok {
+	if HelperFIBLookup(ctx, packet.MustAddr("99.9.9.9")) {
 		t.Fatal("no-route should miss")
 	}
 	// Local destination punts (delivery is slow-path work).
-	if _, ok := HelperFIBLookup(ctx, packet.MustAddr("10.0.0.1")); ok {
+	if HelperFIBLookup(ctx, packet.MustAddr("10.0.0.1")) {
 		t.Fatal("local dst should miss")
 	}
 	// Down egress device punts.
 	d.SetUp(false)
-	if _, ok := HelperFIBLookup(ctx, packet.MustAddr("10.5.1.1")); ok {
+	if HelperFIBLookup(ctx, packet.MustAddr("10.5.1.1")) {
 		t.Fatal("down device should miss")
 	}
 	if ctx.Meter.Total < 4*sim.CostHelperFIB {
@@ -384,15 +384,15 @@ func TestHelperSeesLiveKernelState(t *testing.T) {
 	ctx := &Ctx{Kernel: k, Meter: &sim.Meter{}}
 
 	dst := packet.MustAddr("172.16.9.9")
-	if _, ok := HelperFIBLookup(ctx, dst); ok {
+	if HelperFIBLookup(ctx, dst) {
 		t.Fatal("route not yet added")
 	}
 	k.AddRoute(fib.Route{Prefix: packet.MustPrefix("172.16.0.0/16"), Gateway: packet.MustAddr("10.0.0.254"), OutIf: d.Index})
-	if _, ok := HelperFIBLookup(ctx, dst); !ok {
+	if !HelperFIBLookup(ctx, dst) {
 		t.Fatal("route add not visible to helper")
 	}
 	k.DelRoute(packet.MustPrefix("172.16.0.0/16"))
-	if _, ok := HelperFIBLookup(ctx, dst); ok {
+	if HelperFIBLookup(ctx, dst) {
 		t.Fatal("route delete not visible to helper")
 	}
 }

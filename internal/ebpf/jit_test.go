@@ -2,10 +2,13 @@ package ebpf
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"linuxfp/internal/kernel"
 	"linuxfp/internal/netdev"
+	"linuxfp/internal/packet"
 	"linuxfp/internal/sim"
 )
 
@@ -187,6 +190,135 @@ func TestBatchHandlerMatchesPerPacket(t *testing.T) {
 		if want == netdev.XDPRedirect && bufs[i].RedirectTo != buff.RedirectTo {
 			t.Fatalf("frame %d: redirect target %d vs %d", i, bufs[i].RedirectTo, buff.RedirectTo)
 		}
+	}
+
+	// Lane leak: one context serves the whole poll, so nothing a frame's run
+	// wrote may be visible to the next frame. Setter frames tail-call into a
+	// program that sets every output; the frames after them punt at the
+	// first op, which aborts instead if it finds any output already set.
+	cm := NewCPUMap("leak_cpumap", k)
+	xm := NewXSKMap("leak_xskmap", 4)
+	pa := NewProgArray("leak_pa", 1)
+	setAll := &Program{Name: "set_all", Hook: HookXDP, Ops: []Op{
+		NewOp("set_all", 7, CapRedirect|CapHelperFIB, 16, func(c *Ctx) Verdict {
+			c.FIB = FIBResult{EgressIfIndex: 9, SrcMAC: packet.HWAddr{2, 0, 0, 0, 0, 1}, DstMAC: packet.HWAddr{2, 0, 0, 0, 0, 2}}
+			c.FIBOk = true
+			c.RedirectIfIndex = 9
+			c.RedirectCPUMap, c.RedirectCPU = cm, 3
+			c.RedirectXSKMap, c.RedirectXSKSlot = xm, 2
+			c.IPDst, c.TTL, c.L3Off = 0x0a000001, 64, 14
+			return VerdictRedirect
+		}),
+	}}
+	if _, err := l.Load(setAll); err != nil {
+		t.Fatal(err)
+	}
+	pa.Update(0, setAll)
+	leak := &Program{Name: "leak", Hook: HookXDP, Ops: []Op{
+		NewOp("punt_unless_setter", 5, CapTailCall, 8, func(c *Ctx) Verdict {
+			if c.FIBOk || c.FIB != (FIBResult{}) || c.RedirectIfIndex != 0 ||
+				c.RedirectCPUMap != nil || c.RedirectCPU != 0 ||
+				c.RedirectXSKMap != nil || c.RedirectXSKSlot != 0 ||
+				c.depth != 0 || c.IPDst != 0 || c.TTL != 0 || c.L3Off != 0 {
+				return VerdictAborted
+			}
+			if c.XDP.Data[0] == 1 {
+				return c.TailCall(pa, 0)
+			}
+			return VerdictPass
+		}),
+	}}
+	if _, err := l.Load(leak); err != nil {
+		t.Fatal(err)
+	}
+	la := &xdpAdapter{k: k, prog: leak}
+	kinds := []byte{1, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0}
+	var lm sim.Meter
+	bufs, acts = bufs[:0], make([]netdev.XDPAction, len(kinds))
+	for _, kind := range kinds {
+		bufs = append(bufs, &netdev.XDPBuff{Data: []byte{kind}, IfIndex: 1, Meter: &lm})
+	}
+	la.HandleXDPBatch(bufs, acts)
+	for i, kind := range kinds {
+		var pm sim.Meter
+		buff := &netdev.XDPBuff{Data: []byte{kind}, IfIndex: 1, Meter: &pm}
+		want := la.HandleXDP(buff)
+		wantKind := netdev.XDPPass
+		if kind == 1 {
+			wantKind = netdev.XDPRedirect
+		}
+		if want != wantKind || acts[i] != want {
+			t.Fatalf("frame %d (setter=%v): batch %v, per-packet %v, want %v", i, kind == 1, acts[i], want, wantKind)
+		}
+		got := *bufs[i]
+		got.Meter, buff.Meter = nil, nil
+		if !reflect.DeepEqual(got, *buff) {
+			t.Fatalf("frame %d: batch buff %+v, per-packet %+v", i, got, *buff)
+		}
+	}
+}
+
+// TestCtxResetClearsPerFrameState fills every field of a Ctx and resets it:
+// only the poll-invariant fields that bind sets may survive. A field added
+// to Ctx is per-frame state, and reset clears it, unless it is named here
+// and kept by reset.
+func TestCtxResetClearsPerFrameState(t *testing.T) {
+	pollInvariant := map[string]bool{"Kernel": true, "Hook": true, "jit": true, "spec": true}
+	var c Ctx
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		fillNonZero(t, settable(v.Field(i)))
+	}
+	filled := c
+	c.reset(nil, 0, nil, nil)
+	typ := v.Type()
+	fv := reflect.ValueOf(&filled).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		name := typ.Field(i).Name
+		if pollInvariant[name] {
+			if !reflect.DeepEqual(settable(v.Field(i)).Interface(), settable(fv.Field(i)).Interface()) {
+				t.Errorf("poll-invariant field %s changed by reset", name)
+			}
+			continue
+		}
+		if !v.Field(i).IsZero() {
+			t.Errorf("per-frame field %s survives reset", name)
+		}
+	}
+}
+
+// settable makes an unexported struct field writable through reflection.
+func settable(f reflect.Value) reflect.Value {
+	return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+}
+
+// fillNonZero stores a non-zero value of v's type into v.
+func fillNonZero(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		v.SetUint(1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(1)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+	case reflect.Map:
+		v.Set(reflect.MakeMap(v.Type()))
+	case reflect.Array:
+		fillNonZero(t, v.Index(0))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillNonZero(t, settable(v.Field(i)))
+		}
+	default:
+		t.Fatalf("fillNonZero: no filler for kind %v (%v)", v.Kind(), v.Type())
 	}
 }
 

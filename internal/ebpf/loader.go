@@ -125,11 +125,8 @@ func (a *xdpAdapter) HandleXDP(buff *netdev.XDPBuff) netdev.XDPAction {
 	}
 	buff.Meter.Charge(sim.CostXDPPrologue)
 	ctx := ctxPool.Get().(*Ctx)
-	*ctx = Ctx{
-		Kernel: a.k, Meter: buff.Meter, Hook: HookXDP,
-		IfIndex: buff.IfIndex, XDP: buff,
-		jit: a.k.BPFJITEnabled(), spec: a.k.BPFSpecEnabled(),
-	}
+	ctx.bind(a.k, HookXDP)
+	ctx.reset(buff.Meter, buff.IfIndex, buff, nil)
 	v := a.prog.exec(ctx)
 	act := verdictToXDP(v, buff, ctx)
 	ctxPool.Put(ctx)
@@ -183,9 +180,8 @@ func (a *xdpAdapter) HandleXDPBatch(bufs []*netdev.XDPBuff, acts []netdev.XDPAct
 	m := bufs[0].Meter
 	sl := a.k.StageObs()
 	m.Charge(sim.CostXDPPrologue)
-	jit := a.k.BPFJITEnabled()
-	spec := a.k.BPFSpecEnabled()
 	ctx := ctxPool.Get().(*Ctx)
+	ctx.bind(a.k, HookXDP)
 	for i, buff := range bufs {
 		if i > 0 {
 			m.Charge(sim.CostXDPBatchEntry)
@@ -194,11 +190,7 @@ func (a *xdpAdapter) HandleXDPBatch(bufs []*netdev.XDPBuff, acts []netdev.XDPAct
 		if sl != nil {
 			stageStart = buff.Meter.Total
 		}
-		*ctx = Ctx{
-			Kernel: a.k, Meter: buff.Meter, Hook: HookXDP,
-			IfIndex: buff.IfIndex, XDP: buff,
-			jit: jit, spec: spec,
-		}
+		ctx.reset(buff.Meter, buff.IfIndex, buff, nil)
 		acts[i] = verdictToXDP(a.prog.exec(ctx), buff, ctx)
 		if sl != nil {
 			// Per-frame observation: each frame's program run is one
@@ -221,11 +213,8 @@ var _ kernel.TCHandler = (*tcAdapter)(nil)
 // HandleTC implements kernel.TCHandler.
 func (a *tcAdapter) HandleTC(skb *kernel.SKB) kernel.TCAction {
 	ctx := ctxPool.Get().(*Ctx)
-	*ctx = Ctx{
-		Kernel: a.k, Meter: skb.Meter, Hook: a.hook,
-		IfIndex: skb.Dev.Index, SKB: skb,
-		jit: a.k.BPFJITEnabled(), spec: a.k.BPFSpecEnabled(),
-	}
+	ctx.bind(a.k, a.hook)
+	ctx.reset(skb.Meter, skb.Dev.Index, nil, skb)
 	v := a.prog.exec(ctx)
 	redirect := ctx.RedirectIfIndex
 	ctxPool.Put(ctx)
@@ -251,15 +240,10 @@ func (a *tcAdapter) HandleTCBatch(skbs []*kernel.SKB, acts []kernel.TCAction) {
 	if len(skbs) == 0 {
 		return
 	}
-	jit := a.k.BPFJITEnabled()
-	spec := a.k.BPFSpecEnabled()
 	ctx := ctxPool.Get().(*Ctx)
+	ctx.bind(a.k, a.hook)
 	for i, skb := range skbs {
-		*ctx = Ctx{
-			Kernel: a.k, Meter: skb.Meter, Hook: a.hook,
-			IfIndex: skb.Dev.Index, SKB: skb,
-			jit: jit, spec: spec,
-		}
+		ctx.reset(skb.Meter, skb.Dev.Index, nil, skb)
 		switch a.prog.exec(ctx) {
 		case VerdictDrop, VerdictAborted:
 			acts[i] = kernel.TCShot
@@ -349,18 +333,20 @@ type FIBResult struct {
 }
 
 // HelperFIBLookup is bpf_fib_lookup: one call resolves route + neighbour
-// against live kernel state. A miss (no route, or unresolved/stale
-// neighbour) tells the fast path to punt to the slow path, which will do
-// the full resolution dance.
-func HelperFIBLookup(c *Ctx, dst packet.Addr) (FIBResult, bool) {
+// against live kernel state and, on a hit, writes the result into c.FIB and
+// sets c.FIBOk, as the kernel helper fills the caller's bpf_fib_lookup
+// struct. A miss (no route, or unresolved/stale neighbour) returns false and
+// leaves both untouched; it tells the fast path to punt to the slow path,
+// which will do the full resolution dance.
+func HelperFIBLookup(c *Ctx, dst packet.Addr) bool {
 	c.Meter.Charge(sim.CostHelperFIB)
 	r, ok := c.Kernel.FIB.Lookup(dst)
 	if !ok || r.Local {
-		return FIBResult{}, false
+		return false
 	}
 	out, ok := c.Kernel.DeviceByIndex(r.OutIf)
 	if !ok || !out.IsUp() {
-		return FIBResult{}, false
+		return false
 	}
 	nexthop := r.Gateway
 	if nexthop == 0 {
@@ -368,9 +354,11 @@ func HelperFIBLookup(c *Ctx, dst packet.Addr) (FIBResult, bool) {
 	}
 	mac, ok := c.Kernel.Neigh.Resolved(nexthop, c.Kernel.Now())
 	if !ok {
-		return FIBResult{}, false
+		return false
 	}
-	return FIBResult{EgressIfIndex: out.Index, SrcMAC: out.MAC, DstMAC: mac}, true
+	c.FIB.EgressIfIndex, c.FIB.SrcMAC, c.FIB.DstMAC = out.Index, out.MAC, mac
+	c.FIBOk = true
+	return true
 }
 
 // HelperRedirectCPU is bpf_redirect_map on a cpumap: the frame is handed to

@@ -411,6 +411,16 @@ func (cm *CPUMap) Update(cpu, qsize int) bool {
 	return true
 }
 
+// valueProgRun is the working set of one cpumap value-program run: the
+// context and the xdp_buff it points at, pooled together so the kthread's
+// per-frame program run allocates nothing.
+type valueProgRun struct {
+	ctx  Ctx
+	buff netdev.XDPBuff
+}
+
+var valueProgPool = sync.Pool{New: func() any { return new(valueProgRun) }}
+
 // UpdateWithProg installs an entry whose kthread re-runs an XDP program on
 // every frame after dequeue — BPF_MAP_TYPE_CPUMAP with a CPUMAP_VALUE_PROG
 // (bpf_cpu_map_entry.prog, kernel 5.9+). The program executes on the target
@@ -421,19 +431,26 @@ func (cm *CPUMap) UpdateWithProg(cpu, qsize int, p *Program) bool {
 	if cpu < 0 || cpu >= MapCPUs || qsize < 1 || p == nil {
 		return false
 	}
-	k := cm.kern
-	e := k.NewCpumapEntry(cpu, qsize)
-	e.SetValueProg(func(dev *netdev.Device, frame []byte, m *sim.Meter) (bool, drop.Reason) {
-		buff := &netdev.XDPBuff{Data: frame, IfIndex: dev.Index, Meter: m}
-		ctx := ctxPool.Get().(*Ctx)
-		*ctx = Ctx{
-			Kernel: k, Meter: m, Hook: HookXDP,
-			IfIndex: dev.Index, XDP: buff,
-			jit: k.BPFJITEnabled(), spec: k.BPFSpecEnabled(),
-		}
-		v := p.exec(ctx)
-		redirectIf, redirectCPUMap := ctx.RedirectIfIndex, ctx.RedirectCPUMap
-		ctxPool.Put(ctx)
+	e := cm.kern.NewCpumapEntry(cpu, qsize)
+	e.SetValueProg(valueProg(cm.kern, p))
+	if old := cm.entries[cpu].Swap(e); old != nil {
+		old.Stop()
+	}
+	return true
+}
+
+// valueProg is the per-frame body of a CPUMAP_VALUE_PROG
+// (cpu_map_bpf_prog_run_xdp): run p on the dequeued frame and turn its
+// verdict into deliver, drop, TX or a device redirect.
+func valueProg(k *kernel.Kernel, p *Program) kernel.CpumapProg {
+	return func(dev *netdev.Device, frame []byte, m *sim.Meter) (bool, drop.Reason) {
+		run := valueProgPool.Get().(*valueProgRun)
+		run.buff.Reset(frame, dev.Index, 0, m)
+		run.ctx.bind(k, HookXDP)
+		run.ctx.reset(m, dev.Index, &run.buff, nil)
+		v := p.exec(&run.ctx)
+		redirectIf, redirectCPUMap := run.ctx.RedirectIfIndex, run.ctx.RedirectCPUMap
+		valueProgPool.Put(run)
 		switch v {
 		case VerdictDrop:
 			return false, drop.ReasonXDPDrop
@@ -458,11 +475,7 @@ func (cm *CPUMap) UpdateWithProg(cpu, qsize int, p *Program) bool {
 		default:
 			return true, drop.ReasonNotSpecified
 		}
-	})
-	if old := cm.entries[cpu].Swap(e); old != nil {
-		old.Stop()
 	}
-	return true
 }
 
 // SetLatObserver attaches a latency observer to a CPU's entry: every frame's

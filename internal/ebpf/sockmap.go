@@ -274,12 +274,11 @@ func (a *skskbAdapter) HandleSKSKB(msg *kernel.SocketMsg, m *sim.Meter) kernel.S
 		return kernel.SKSKBResult{Action: kernel.SKSKBPass}
 	}
 	ctx := ctxPool.Get().(*Ctx)
-	*ctx = Ctx{
-		Kernel: a.k, Meter: m, Hook: HookSKSKBVerdict, Msg: msg,
-		IPSrc: msg.Src, IPDst: msg.Dst, IPProto: msg.Proto,
-		SrcPort: msg.SrcPort, DstPort: msg.DstPort,
-		jit: a.k.BPFJITEnabled(), spec: a.k.BPFSpecEnabled(),
-	}
+	ctx.bind(a.k, HookSKSKBVerdict)
+	ctx.reset(m, 0, nil, nil)
+	ctx.Msg = msg
+	ctx.IPSrc, ctx.IPDst, ctx.IPProto = msg.Src, msg.Dst, msg.Proto
+	ctx.SrcPort, ctx.DstPort = msg.SrcPort, msg.DstPort
 	// Stream parser first (strparser framing); a parser drop frees the
 	// segment before the verdict program sees it.
 	if parser := a.sm.parser.Load(); parser != nil {

@@ -385,12 +385,9 @@ type RouterConf struct {
 func FIBLookupOp() ebpf.Op {
 	return ebpf.NewOp("fib_lookup", 0, ebpf.CapHelperFIB, 40, func(c *ebpf.Ctx) ebpf.Verdict {
 		// Helper charges its own cost.
-		res, ok := ebpf.HelperFIBLookup(c, c.IPDst)
-		if !ok {
+		if !ebpf.HelperFIBLookup(c, c.IPDst) {
 			return ebpf.VerdictPass
 		}
-		c.FIB = res
-		c.FIBOk = true
 		return ebpf.VerdictNext
 	})
 }
@@ -620,8 +617,7 @@ func IPVSOp() ebpf.Op {
 		}
 		// Resolve the backend route BEFORE touching the frame, so a punt
 		// hands the slow path the original (un-NATed) packet.
-		res, fok := ebpf.HelperFIBLookup(c, backend)
-		if !fok {
+		if !ebpf.HelperFIBLookup(c, backend) {
 			return ebpf.VerdictPass
 		}
 		f := c.Frame()
@@ -629,9 +625,9 @@ func IPVSOp() ebpf.Op {
 		c.IPDst = backend
 		c.Meter.Charge(sim.CostRewriteL2L3)
 		packet.DecTTL(f, c.L3Off)
-		packet.SetEthSrc(f, res.SrcMAC)
-		packet.SetEthDst(f, res.DstMAC)
-		c.RedirectIfIndex = res.EgressIfIndex
+		packet.SetEthSrc(f, c.FIB.SrcMAC)
+		packet.SetEthDst(f, c.FIB.DstMAC)
+		c.RedirectIfIndex = c.FIB.EgressIfIndex
 		return ebpf.VerdictRedirect
 	})
 }
@@ -696,14 +692,13 @@ func LBOp(conf LBConf) ebpf.Op {
 		f := c.Frame()
 		packet.RewriteIPv4Dst(f, c.L3Off, c.L3Off+packet.IPv4MinLen, backend)
 		c.IPDst = backend
-		res, ok := ebpf.HelperFIBLookup(c, backend)
-		if !ok {
+		if !ebpf.HelperFIBLookup(c, backend) {
 			return ebpf.VerdictPass
 		}
 		packet.DecTTL(f, c.L3Off)
-		packet.SetEthSrc(f, res.SrcMAC)
-		packet.SetEthDst(f, res.DstMAC)
-		c.RedirectIfIndex = res.EgressIfIndex
+		packet.SetEthSrc(f, c.FIB.SrcMAC)
+		packet.SetEthDst(f, c.FIB.DstMAC)
+		c.RedirectIfIndex = c.FIB.EgressIfIndex
 		return ebpf.VerdictRedirect
 	})
 }

@@ -20,6 +20,7 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strconv"
 	"sync"
@@ -131,8 +132,10 @@ type socketKey struct {
 
 // devTable is the read-side snapshot of the device registry, replaced
 // whole on every change so per-packet lookups are a single atomic load.
+// byIdx is dense: slot i holds the device with ifindex i, nil where there is
+// none, so DeviceByIndex is a bounds check and a load.
 type devTable struct {
-	byIdx  map[int]*netdev.Device
+	byIdx  []*netdev.Device
 	byName map[string]*netdev.Device
 }
 
@@ -249,7 +252,7 @@ func New(name string) *Kernel {
 	k.jitEnabled.Store(true)
 	k.specEnabled.Store(true)
 	k.socks.Store(&sockTable{m: map[socketKey]*Socket{}})
-	k.devs.Store(&devTable{byIdx: map[int]*netdev.Device{}, byName: map[string]*netdev.Device{}})
+	k.devs.Store(&devTable{byName: map[string]*netdev.Device{}})
 	k.tc.Store(&tcTables{ingress: map[int]TCHandler{}, egress: map[int]TCHandler{}})
 	zero := func() sim.Time { return 0 }
 	k.clock.Store(&zero)
@@ -326,21 +329,23 @@ func allocMAC() packet.HWAddr {
 	return mac
 }
 
-// storeDevsLocked publishes a new device-table snapshot built by mutate.
-// Must hold k.mu.
-func (k *Kernel) storeDevsLocked(mutate func(byIdx map[int]*netdev.Device, byName map[string]*netdev.Device)) {
+// storeDevsLocked publishes a new device-table snapshot in which ifindex
+// idx and name map to d, or to nothing when d is nil. The old snapshot is
+// never written: readers holding it keep a consistent table. Must hold k.mu.
+func (k *Kernel) storeDevsLocked(idx int, name string, d *netdev.Device) {
 	old := k.devs.Load()
 	nt := &devTable{
-		byIdx:  make(map[int]*netdev.Device, len(old.byIdx)+1),
+		byIdx:  make([]*netdev.Device, max(len(old.byIdx), idx+1)),
 		byName: make(map[string]*netdev.Device, len(old.byName)+1),
 	}
-	for i, d := range old.byIdx {
-		nt.byIdx[i] = d
+	copy(nt.byIdx, old.byIdx)
+	maps.Copy(nt.byName, old.byName)
+	nt.byIdx[idx] = d
+	if d != nil {
+		nt.byName[name] = d
+	} else {
+		delete(nt.byName, name)
 	}
-	for n, d := range old.byName {
-		nt.byName[n] = d
-	}
-	mutate(nt.byIdx, nt.byName)
 	k.devs.Store(nt)
 	k.cfgGen.Add(1)
 }
@@ -351,10 +356,7 @@ func (k *Kernel) CreateDevice(name string, typ netdev.Type) *netdev.Device {
 	k.nextIdx++
 	idx := k.nextIdx
 	d := netdev.New(name, idx, typ, allocMAC(), k)
-	k.storeDevsLocked(func(byIdx map[int]*netdev.Device, byName map[string]*netdev.Device) {
-		byIdx[idx] = d
-		byName[name] = d
-	})
+	k.storeDevsLocked(idx, name, d)
 	k.mu.Unlock()
 	if fr := k.flight.Load(); fr != nil {
 		d.SetFlight(fr)
@@ -450,10 +452,7 @@ func (k *Kernel) DeleteBridge(name string) error {
 		return fmt.Errorf("kernel: %q is not a bridge", name)
 	}
 	delete(k.bridges, d.Index)
-	k.storeDevsLocked(func(byIdx map[int]*netdev.Device, byName map[string]*netdev.Device) {
-		delete(byIdx, d.Index)
-		delete(byName, name)
-	})
+	k.storeDevsLocked(d.Index, name, nil)
 	k.mu.Unlock()
 	for _, p := range br.Ports() {
 		if pd, ok := k.DeviceByIndex(p); ok {
@@ -573,8 +572,12 @@ func (k *Kernel) STPHello(m *sim.Meter) {
 
 // DeviceByIndex implements netdev.Stack.
 func (k *Kernel) DeviceByIndex(idx int) (*netdev.Device, bool) {
-	d, ok := k.devs.Load().byIdx[idx]
-	return d, ok
+	byIdx := k.devs.Load().byIdx
+	if uint(idx) >= uint(len(byIdx)) {
+		return nil, false
+	}
+	d := byIdx[idx]
+	return d, d != nil
 }
 
 // DeviceByName resolves a device by name.
@@ -583,14 +586,15 @@ func (k *Kernel) DeviceByName(name string) (*netdev.Device, bool) {
 	return d, ok
 }
 
-// Devices returns all devices sorted by ifindex.
+// Devices returns all devices in ifindex order.
 func (k *Kernel) Devices() []*netdev.Device {
 	t := k.devs.Load()
-	out := make([]*netdev.Device, 0, len(t.byIdx))
+	out := make([]*netdev.Device, 0, len(t.byName))
 	for _, d := range t.byIdx {
-		out = append(out, d)
+		if d != nil {
+			out = append(out, d)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out
 }
 

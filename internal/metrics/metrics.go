@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 
+	"linuxfp/internal/core"
 	"linuxfp/internal/drop"
 	"linuxfp/internal/ebpf"
 	"linuxfp/internal/flight"
@@ -276,6 +277,21 @@ func WritePrograms(w io.Writer, l *ebpf.Loader) {
 	fmt.Fprintf(w, "# TYPE linuxfp_prog_load_wall_seconds gauge\n")
 	fmt.Fprintf(w, "linuxfp_prog_load_wall_seconds{window=\"last\"} %.9f\n", last.Seconds())
 	fmt.Fprintf(w, "linuxfp_prog_load_wall_seconds{window=\"total\"} %.9f\n", total.Seconds())
+}
+
+// WriteReconcile writes the controller's cumulative reconcile outcomes: how
+// many reconciles ran and, per interface, how many programs were deployed,
+// how many interfaces synthesis rejected and how many programs failed to
+// load or attach. The last two are interfaces left on the slow path.
+func WriteReconcile(w io.Writer, st core.ReconcileStats) {
+	fmt.Fprintf(w, "# HELP linuxfp_reconciles_total Controller reconciles run.\n")
+	fmt.Fprintf(w, "# TYPE linuxfp_reconciles_total counter\n")
+	fmt.Fprintf(w, "linuxfp_reconciles_total %d\n", st.Reconciles)
+	fmt.Fprintf(w, "# HELP linuxfp_reconcile_interfaces_total Per-interface reconcile outcomes.\n")
+	fmt.Fprintf(w, "# TYPE linuxfp_reconcile_interfaces_total counter\n")
+	fmt.Fprintf(w, "linuxfp_reconcile_interfaces_total{outcome=\"deployed\"} %d\n", st.IfDeployed)
+	fmt.Fprintf(w, "linuxfp_reconcile_interfaces_total{outcome=\"synth_rejected\"} %d\n", st.SynthRejected)
+	fmt.Fprintf(w, "linuxfp_reconcile_interfaces_total{outcome=\"load_failed\"} %d\n", st.LoadFailed)
 }
 
 // WriteRingBuf writes one ring buffer's event accounting. Event drops carry

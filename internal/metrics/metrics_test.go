@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"linuxfp/internal/core"
 	"linuxfp/internal/drop"
 	"linuxfp/internal/ebpf"
 	"linuxfp/internal/flight"
@@ -107,6 +108,17 @@ func TestPromExpositionLint(t *testing.T) {
 	WriteRingBuf(&buf, rb)
 	WriteXSKMap(&buf, ebpf.NewXSKMap("lint_xsk", 4))
 	WritePrograms(&buf, loader)
+	WriteReconcile(&buf, core.ReconcileStats{Reconciles: 3, IfDeployed: 2, SynthRejected: 1, LoadFailed: 1})
+	for _, series := range []string{
+		"linuxfp_reconciles_total 3",
+		`linuxfp_reconcile_interfaces_total{outcome="deployed"} 2`,
+		`linuxfp_reconcile_interfaces_total{outcome="synth_rejected"} 1`,
+		`linuxfp_reconcile_interfaces_total{outcome="load_failed"} 1`,
+	} {
+		if !strings.Contains(buf.String(), series+"\n") {
+			t.Errorf("scrape is missing %s", series)
+		}
+	}
 
 	helps := map[string]int{}
 	types := map[string]string{}

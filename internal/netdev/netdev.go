@@ -95,6 +95,16 @@ type XDPBuff struct {
 	RedirectXSKSlot int
 }
 
+// Reset starts a frame's run on a reused buff: the input fields are set
+// and every redirect output is cleared, so nothing a program wrote for the
+// previous frame survives into this one.
+func (b *XDPBuff) Reset(frame []byte, ifindex, rxq int, m *sim.Meter) {
+	b.Data, b.IfIndex, b.RxQueue, b.Meter = frame, ifindex, rxq, m
+	b.RedirectTo = 0
+	b.RedirectCPUMap, b.RedirectCPU = nil, 0
+	b.RedirectXSKMap, b.RedirectXSKSlot = nil, 0
+}
+
 // XDPHandler is an XDP program attachment.
 type XDPHandler interface {
 	HandleXDP(*XDPBuff) XDPAction
@@ -180,8 +190,8 @@ type Device struct {
 	rss    atomic.Pointer[rssState]
 
 	xdp    atomic.Pointer[xdpSlot]
-	devmap atomic.Pointer[DevMap]   // bulk-redirect state, allocated on first use
-	xps    atomic.Pointer[xpsState] // TX-queue steering; nil = single-queue TX
+	devmap atomic.Pointer[DevMap]          // bulk-redirect state, allocated on first use
+	xps    atomic.Pointer[xpsState]        // TX-queue steering; nil = single-queue TX
 	flight atomic.Pointer[flight.Recorder] // packet flight recorder, propagated by the owning kernel
 
 	// Tap, when set, observes every frame the device receives (before XDP)
@@ -507,7 +517,7 @@ func (d *Device) runXDP(slot *xdpSlot, frame []byte, rxq int, m *sim.Meter) []by
 	// HandleXDP call (the same lifetime rule as a real xdp_buff, which
 	// points into the RX ring).
 	buff := xdpBuffPool.Get().(*XDPBuff)
-	*buff = XDPBuff{Data: frame, IfIndex: d.Index, RxQueue: rxq, Meter: m}
+	buff.Reset(frame, d.Index, rxq, m)
 	act := slot.h.HandleXDP(buff)
 	data, redirect := buff.Data, buff.RedirectTo
 	cm, cpu := buff.RedirectCPUMap, buff.RedirectCPU
@@ -684,7 +694,7 @@ func (d *Device) runXDPBatch(slot *xdpSlot, frames [][]byte, rxq, budget int, m 
 		}
 		bufs, acts := scratch.ptrs[:len(poll)], scratch.acts[:len(poll)]
 		for i, frame := range poll {
-			scratch.bufs[i] = XDPBuff{Data: frame, IfIndex: d.Index, RxQueue: rxq, Meter: m}
+			scratch.bufs[i].Reset(frame, d.Index, rxq, m)
 		}
 		if batched {
 			bh.HandleXDPBatch(bufs, acts)

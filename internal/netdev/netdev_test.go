@@ -1,6 +1,7 @@
 package netdev
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -355,5 +356,50 @@ func TestDeviceTypeStrings(t *testing.T) {
 		if act.String() != want {
 			t.Errorf("%d -> %q", act, act.String())
 		}
+	}
+}
+
+// redirectSink is a do-nothing cpumap and xskmap redirect target.
+type redirectSink struct{}
+
+func (redirectSink) EnqueueCPU(int, int, *Device, []byte, *sim.Meter) (int, bool) { return 0, true }
+func (redirectSink) FlushCPU(int, *sim.Meter) int                                 { return 0 }
+func (redirectSink) EnqueueXSK(int, int, []byte, *sim.Meter) (int, int, bool)     { return 0, 0, true }
+func (redirectSink) FlushXSK(int, *sim.Meter) (int, int)                          { return 0, 0 }
+
+// TestXDPBuffResetClearsEveryField fills every field of an XDPBuff, as a
+// program run on the previous frame might have, and resets it with zero
+// inputs: every field must come back zero, so a reused buff carries nothing
+// from one frame into the next. A field added to XDPBuff fails here until
+// Reset sets or clears it.
+func TestXDPBuffResetClearsEveryField(t *testing.T) {
+	var b XDPBuff
+	v := reflect.ValueOf(&b).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Int:
+			f.SetInt(7)
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 1, 1))
+		case reflect.Pointer:
+			f.Set(reflect.New(f.Type().Elem()))
+		case reflect.Interface:
+			f.Set(reflect.ValueOf(redirectSink{}))
+		default:
+			t.Fatalf("no filler for field %s of kind %v", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	b.Reset(nil, 0, 0, nil)
+	for i := 0; i < v.NumField(); i++ {
+		if !v.Field(i).IsZero() {
+			t.Errorf("field %s survives Reset", v.Type().Field(i).Name)
+		}
+	}
+	frame := []byte{1, 2, 3}
+	m := new(sim.Meter)
+	b.Reset(frame, 4, 2, m)
+	if &b.Data[0] != &frame[0] || b.IfIndex != 4 || b.RxQueue != 2 || b.Meter != m {
+		t.Fatalf("Reset inputs not set: %+v", b)
 	}
 }
