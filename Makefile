@@ -61,10 +61,14 @@ bench-test:
 ## serial and parallel and the FIB snapshot rebuild at 50 / 1 000 / 10 000
 ## routes (internal/fib), the parallel neighbour lookup (internal/neigh),
 ## and the command-alone churn step (internal/shell, allocs/op is the
-## figure).
+## figure). The controller's reconcile rides along too (internal/core): one
+## command through a running controller up to its Sync fence, topology-neutral
+## (ip route add/del) and topology-changing (iptables -I/-D FORWARD), on the
+## 50-route router and the 1000-route, 40-interface one; ns/op and allocs/op
+## are the figures.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkRealForward|BenchmarkRealLinuxFPFastPath|BenchmarkRealLinuxGRO' -benchtime 100x -benchmem .
-	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/ebpf/ ./internal/netdev/ ./internal/kernel/ ./internal/steer/ ./internal/packet/ ./internal/netfilter/ ./internal/fib/ ./internal/neigh/ ./internal/shell/
+	$(GO) test -run xxx -bench . -benchtime 1x -benchmem ./internal/ebpf/ ./internal/netdev/ ./internal/kernel/ ./internal/steer/ ./internal/packet/ ./internal/netfilter/ ./internal/fib/ ./internal/neigh/ ./internal/shell/ ./internal/core/
 	$(GO) test -run TestGROSupersegmentAllocs -count 1 ./internal/kernel/
 	$(GO) test -run Fuzz -count 1 ./internal/packet/ ./internal/netfilter/ ./internal/fib/
 

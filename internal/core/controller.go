@@ -63,9 +63,12 @@ type Controller struct {
 	deployer *Deployer
 
 	// The daemon goroutine owns these while it runs; Start and Stop own them
-	// while it does not.
+	// while it does not. lastGraph was built at topology generation lastGen;
+	// nil means the next reconcile builds from scratch.
 	lastPrint   string
 	lastModules map[string]bool
+	lastGraph   *Graph
+	lastGen     uint64
 
 	syncReq chan chan struct{}    // Sync's ack channels, served by the daemon
 	graph   atomic.Pointer[Graph] // published by every reconcile
@@ -136,7 +139,7 @@ func (c *Controller) Stop() {
 		c.deployer.Undeploy(name)
 	}
 	// Forget the deployed graph so a restart synthesizes from scratch.
-	c.lastPrint, c.lastModules = "", nil
+	c.lastPrint, c.lastModules, c.lastGraph = "", nil, nil
 }
 
 // Sync is a fence: it returns once the daemon has applied every
@@ -235,9 +238,24 @@ func (c *Controller) applyDump() bool {
 }
 
 // reconcile rebuilds the graph, synthesizes what changed and deploys it,
-// recording the reaction time under the Table VI latency model.
+// recording the reaction time under the Table VI latency model. When no
+// topology input changed since the last reconcile, the graph cannot have
+// changed either: build, fingerprint and synthesis are skipped, and the
+// reaction is the one an unchanged rebuild would have recorded.
 func (c *Controller) reconcile(trigger string, netfilterTouched bool) {
 	start := time.Now()
+
+	gen := c.store.TopoGen()
+	if c.lastGraph != nil && gen == c.lastGen {
+		c.record(Reaction{
+			Trigger: trigger, Virtual: reactionBase(netfilterTouched), Wall: time.Since(start),
+			Modules: len(c.lastModules),
+		})
+		// A fresh pointer all the same: a new pointer means a reconcile
+		// finished. The interface graphs are immutable and can be shared.
+		c.graph.Store(&Graph{Interfaces: c.lastGraph.Interfaces})
+		return
+	}
 
 	graph := c.topo.Build()
 	modules := graph.ModuleSet()
@@ -286,15 +304,10 @@ func (c *Controller) reconcile(trigger string, netfilterTouched bool) {
 		}
 	}
 
-	// Virtual reaction-time model (Table VI): notification latency, the
-	// libiptc dump when netfilter state had to be re-read, graph build,
-	// template rendering per module instance, the clang compile of the
-	// generated data path (base + per new module), verifier+load, and the
-	// dispatcher swap.
-	virtual := sim.LatNetlinkNotify + sim.LatGraphBuild
-	if netfilterTouched {
-		virtual += sim.LatIptcDump
-	}
+	// Virtual reaction-time model (Table VI), beyond the base: template
+	// rendering per module instance, the clang compile of the generated data
+	// path (base + per new module), verifier+load, and the dispatcher swap.
+	virtual := reactionBase(netfilterTouched)
 	if changed {
 		virtual += sim.Duration(len(modules)) * sim.LatSynthPerFPM
 		virtual += sim.Duration(newCount) * sim.LatCompilePerFPM
@@ -304,7 +317,7 @@ func (c *Controller) reconcile(trigger string, netfilterTouched bool) {
 		}
 	}
 
-	c.lastPrint, c.lastModules = fp, modules
+	c.lastPrint, c.lastModules, c.lastGraph, c.lastGen = fp, modules, graph, gen
 	c.record(Reaction{
 		Trigger: trigger, Virtual: virtual, Wall: time.Since(start),
 		LoadWall: loadWall, SwapWall: swapWall,
@@ -313,6 +326,17 @@ func (c *Controller) reconcile(trigger string, netfilterTouched bool) {
 	})
 	// After the reaction: whoever sees the new graph also sees its reaction.
 	c.graph.Store(graph)
+}
+
+// reactionBase is the part of the Table VI reaction-time model every
+// reconcile pays, whether or not the graph changed: notification latency,
+// graph build, and the libiptc dump when netfilter state had to be re-read.
+func reactionBase(netfilterTouched bool) sim.Duration {
+	virtual := sim.LatNetlinkNotify + sim.LatGraphBuild
+	if netfilterTouched {
+		virtual += sim.LatIptcDump
+	}
+	return virtual
 }
 
 // record appends a reaction to the log, overwriting the oldest once the log
@@ -363,8 +387,9 @@ func (c *Controller) FastPathStats() FastPathStats {
 // Graph returns the processing graph built by the most recent reconcile, or
 // nil before the first. It takes no lock. Every reconcile publishes a fresh
 // *Graph, even one equal to its predecessor, so a change of pointer means a
-// reconcile finished (and its reaction is already logged); a published graph
-// is never modified.
+// reconcile finished (and its reaction is already logged). A reconcile that
+// changed no topology input publishes a graph sharing its predecessor's
+// interface graphs; a published graph is never modified.
 func (c *Controller) Graph() *Graph {
 	return c.graph.Load()
 }

@@ -24,7 +24,7 @@ type routerWorld struct {
 	captured       int
 }
 
-func newRouterWorld(t *testing.T) *routerWorld {
+func newRouterWorld(t testing.TB) *routerWorld {
 	t.Helper()
 	w := &routerWorld{src: kernel.New("src"), dut: kernel.New("dut"), sink: kernel.New("sink")}
 	w.srcDev = w.src.CreateDevice("eth0", netdev.Physical)
@@ -378,7 +378,7 @@ func TestObjectStoreApplySemantics(t *testing.T) {
 	if !s.Apply(addrMsg) || s.Apply(addrMsg) {
 		t.Fatal("addr apply semantics")
 	}
-	if len(s.Addrs(3)) != 1 {
+	if !s.HasAddr(3) {
 		t.Fatal("addr missing")
 	}
 	del := addrMsg
@@ -393,8 +393,8 @@ func TestObjectStoreApplySemantics(t *testing.T) {
 	if !s.Apply(routeMsg) || s.Apply(routeMsg) {
 		t.Fatal("route apply semantics")
 	}
-	if len(s.Routes()) != 1 {
-		t.Fatal("route missing")
+	if out := s.RoutedOut(); len(out) != 1 || out[0] != 3 {
+		t.Fatalf("routed ifindexes %v, want [3]", out)
 	}
 	routeDel := routeMsg
 	routeDel.Type = netlink.DelRoute
@@ -406,7 +406,7 @@ func TestObjectStoreApplySemantics(t *testing.T) {
 	linkDel := link
 	linkDel.Type = netlink.DelLink
 	s.Apply(linkDel)
-	if len(s.Links()) != 0 || len(s.Addrs(3)) != 0 {
+	if len(s.Links()) != 0 || s.HasAddr(3) {
 		t.Fatal("link delete did not cascade")
 	}
 	// Unknown payloads change nothing.

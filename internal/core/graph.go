@@ -111,26 +111,23 @@ func NewTopologyManager(store *ObjectStore, caps *CapabilityManager) *TopologyMa
 	return &TopologyManager{store: store, caps: caps}
 }
 
-// Build derives the graph for the current configuration.
+// Build derives the graph for the current configuration. It reads only the
+// store's topology inputs, so its result changes only when ObjectStore.TopoGen
+// does.
 func (tm *TopologyManager) Build() *Graph {
 	g := &Graph{Interfaces: make(map[string]*IfaceGraph)}
 
-	forwarding := tm.store.Sysctl("net.ipv4.ip_forward") == "1"
-	routes := tm.store.Routes()
-	// Only gateway/static routes count as "routing configured": connected
-	// subnets alone do not make the box a router.
-	routedOut := make(map[int]bool)
-	hasRoutes := false
-	for _, r := range routes {
-		hasRoutes = true
-		routedOut[r.OutIf] = true
-	}
-	routingActive := forwarding && hasRoutes
+	forwarding := tm.store.Sysctl(sysctlForward) == "1"
+	routedOut := tm.store.RoutedOut()
+	routingActive := forwarding && len(routedOut) > 0
 
-	filterInfo, filterActive := tm.store.Chain("FORWARD")
+	filterInfo, filterActive := tm.store.Chain(chainForward)
 	filterOn := filterActive && filterInfo.Rules > 0
 	// Container hosts bridge-filter: bridged frames traverse FORWARD too.
-	brNetfilter := filterOn && tm.store.Sysctl("net.bridge.bridge-nf-call-iptables") == "1"
+	brNetfilter := filterOn && tm.store.Sysctl(sysctlBrNF) == "1"
+	// The fast paths that skip POSTROUTING carry its length, so a rule added
+	// there changes the graph and the synthesizer re-checks the chain.
+	postrouting, _ := tm.store.Chain(chainPostrouting)
 
 	for _, link := range tm.store.Links() {
 		if !link.Up || link.Kind == "loopback" {
@@ -147,8 +144,8 @@ func (tm *TopologyManager) Build() *Graph {
 				"vlan_filtering": strconv.FormatBool(link.BridgeA.VLANFiltering),
 			}}
 			ig := &IfaceGraph{IfIndex: link.Index, Name: link.Name, Hook: "tc", Nodes: []*Node{node}}
-			if routingActive && len(tm.store.Addrs(link.Index)) > 0 {
-				tm.appendRouter(ig, routedOut, filterOn, filterInfo)
+			if routingActive && tm.store.HasAddr(link.Index) {
+				tm.appendRouter(ig, routedOut, filterOn, filterInfo, postrouting.Rules)
 				node.NextNF = ig.Nodes[1].FPM
 			}
 			g.Interfaces[link.Name] = ig
@@ -166,28 +163,41 @@ func (tm *TopologyManager) Build() *Graph {
 				"vlan_filtering": strconv.FormatBool(br.BridgeA.VLANFiltering),
 				"filter":         strconv.FormatBool(brNetfilter),
 			}}
+			if brNetfilter {
+				setPostrouting(node, postrouting.Rules)
+			}
 			ig := &IfaceGraph{IfIndex: link.Index, Name: link.Name, Hook: tm.caps.HookFor(link), Nodes: []*Node{node}}
 			// Bridge with IPs + routing: routed traffic addressed to the
 			// bridge continues into the router FPM (next_nf: router, or lb
 			// when ipvs services are configured).
-			if routingActive && len(tm.store.Addrs(link.Master)) > 0 {
-				tm.appendRouter(ig, routedOut, filterOn, filterInfo)
+			if routingActive && tm.store.HasAddr(link.Master) {
+				tm.appendRouter(ig, routedOut, filterOn, filterInfo, postrouting.Rules)
 				node.NextNF = ig.Nodes[1].FPM
 			}
 			g.Interfaces[link.Name] = ig
 
-		case routingActive && len(tm.store.Addrs(link.Index)) > 0:
+		case routingActive && tm.store.HasAddr(link.Index):
 			// Plain L3 interface on a router.
 			ig := &IfaceGraph{IfIndex: link.Index, Name: link.Name, Hook: tm.caps.HookFor(link)}
-			tm.appendRouter(ig, routedOut, filterOn, filterInfo)
+			tm.appendRouter(ig, routedOut, filterOn, filterInfo, postrouting.Rules)
 			g.Interfaces[link.Name] = ig
 		}
 	}
 	return g
 }
 
-// appendRouter adds the router node (and chained lb/filter nodes).
-func (tm *TopologyManager) appendRouter(ig *IfaceGraph, routedOut map[int]bool, filterOn bool, filterInfo netlink.RuleMsg) {
+// setPostrouting records the POSTROUTING rule count on a node whose fast
+// path skips that chain. An empty chain adds nothing, so graphs built
+// without POSTROUTING rules fingerprint as they always have.
+func setPostrouting(n *Node, rules int) {
+	if rules > 0 {
+		n.Conf["postrouting"] = strconv.Itoa(rules)
+	}
+}
+
+// appendRouter adds the router node (and chained lb/filter nodes). routedOut
+// lists the ifindexes routes leave through, ascending.
+func (tm *TopologyManager) appendRouter(ig *IfaceGraph, routedOut []int, filterOn bool, filterInfo netlink.RuleMsg, postrouting int) {
 	// ipvs runs ahead of routing (PREROUTING placement).
 	if n := tm.store.IPVSServiceCount(); n > 0 {
 		ig.Nodes = append(ig.Nodes, &Node{FPM: FPMLB, Conf: map[string]string{
@@ -195,9 +205,11 @@ func (tm *TopologyManager) appendRouter(ig *IfaceGraph, routedOut map[int]bool, 
 		}, NextNF: FPMRouter})
 	}
 	router := &Node{FPM: FPMRouter, Conf: map[string]string{}}
+	setPostrouting(router, postrouting)
 	// Routes pointing at bridge devices chain the router back into a
-	// bridge FPM (next_nf: bridge, paper §IV-C2).
-	for out := range routedOut {
+	// bridge FPM (next_nf: bridge, paper §IV-C2). With several, the one
+	// with the highest ifindex is named.
+	for _, out := range routedOut {
 		if l, ok := tm.store.Link(out); ok && l.Kind == "bridge" {
 			router.Conf["bridge_out"] = l.Name
 			router.NextNF = FPMBridge
@@ -207,7 +219,7 @@ func (tm *TopologyManager) appendRouter(ig *IfaceGraph, routedOut map[int]bool, 
 	if filterOn {
 		router.NextNF = FPMFilter
 		filter := &Node{FPM: FPMFilter, Conf: map[string]string{
-			"chain": "FORWARD",
+			"chain": chainForward,
 			"rules": strconv.Itoa(filterInfo.Rules),
 			"ipset": strconv.FormatBool(filterInfo.UsesSet),
 		}}

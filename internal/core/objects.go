@@ -12,8 +12,8 @@
 package core
 
 import (
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"linuxfp/internal/netlink"
@@ -24,99 +24,181 @@ import (
 // maintained purely from netlink dumps and notifications — the controller
 // never peeks at kernel internals directly (the data plane's helpers do,
 // but that is the point: state stays in the kernel).
+//
+// Besides the objects themselves it keeps the facts TopologyManager.Build
+// derives from them (routes per output ifindex, live IPVS services), updated
+// once per message, and a topology generation that advances only when a
+// message changes something Build reads. A reconcile whose generation is
+// unchanged can reuse the last graph as is.
 type ObjectStore struct {
 	mu     sync.RWMutex
 	links  map[int]netlink.LinkMsg
 	addrs  map[int]map[packet.Prefix]bool
-	routes map[string]netlink.RouteMsg // keyed by prefix string
-	chains map[string]netlink.RuleMsg  // keyed by chain name
+	routes map[packet.Prefix]netlink.RouteMsg
+	chains map[string]netlink.RuleMsg // keyed by chain name
 	sets   map[string]netlink.SetMsg
-	ipvs   map[string]netlink.IPVSMsg // keyed by vip:port/proto
+	ipvs   map[ipvsKey]netlink.IPVSMsg
 	sysctl map[string]string
+
+	routedOut map[int]int // routes per output ifindex; no zero entries
+	ipvsLive  int         // IPVS services with backends
+	topoGen   uint64      // advanced by every change Build can see
 }
+
+// ipvsKey identifies one IPVS virtual service.
+type ipvsKey struct {
+	vip   packet.Addr
+	port  uint16
+	proto uint8
+}
+
+// Topology inputs outside the link, address and route tables: the chains and
+// sysctls TopologyManager.Build reads.
+const (
+	chainForward     = "FORWARD"
+	chainPostrouting = "POSTROUTING"
+	sysctlForward    = "net.ipv4.ip_forward"
+	sysctlBrNF       = "net.bridge.bridge-nf-call-iptables"
+)
 
 // NewObjectStore returns an empty store.
 func NewObjectStore() *ObjectStore {
 	return &ObjectStore{
-		links:  make(map[int]netlink.LinkMsg),
-		addrs:  make(map[int]map[packet.Prefix]bool),
-		routes: make(map[string]netlink.RouteMsg),
-		chains: make(map[string]netlink.RuleMsg),
-		sets:   make(map[string]netlink.SetMsg),
-		ipvs:   make(map[string]netlink.IPVSMsg),
-		sysctl: make(map[string]string),
+		links:     make(map[int]netlink.LinkMsg),
+		addrs:     make(map[int]map[packet.Prefix]bool),
+		routes:    make(map[packet.Prefix]netlink.RouteMsg),
+		chains:    make(map[string]netlink.RuleMsg),
+		sets:      make(map[string]netlink.SetMsg),
+		ipvs:      make(map[ipvsKey]netlink.IPVSMsg),
+		sysctl:    make(map[string]string),
+		routedOut: make(map[int]int),
 	}
 }
 
 // Apply folds one netlink message into the store. It reports whether the
-// message changed any state (used to skip no-op reconciles).
+// message changed any state (used to skip no-op reconciles); whether the
+// change is one the processing graph can see is TopoGen's business.
 func (s *ObjectStore) Apply(msg netlink.Message) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	changed, topo := s.applyLocked(msg)
+	if topo {
+		s.topoGen++
+	}
+	return changed
+}
+
+// applyLocked reports whether msg changed the store and whether it changed a
+// topology input.
+func (s *ObjectStore) applyLocked(msg netlink.Message) (changed, topo bool) {
 	switch p := msg.Payload.(type) {
 	case netlink.LinkMsg:
 		if msg.Type == netlink.DelLink {
 			delete(s.links, p.Index)
 			delete(s.addrs, p.Index)
-			return true
+			return true, true
 		}
 		old, had := s.links[p.Index]
 		s.links[p.Index] = p
-		return !had || !linkEqual(old, p)
+		changed = !had || !linkEqual(old, p)
+		return changed, changed
 	case netlink.AddrMsg:
 		set, ok := s.addrs[p.Index]
 		if !ok {
 			set = make(map[packet.Prefix]bool)
 			s.addrs[p.Index] = set
 		}
-		if msg.Type == netlink.DelAddr {
-			had := set[p.Prefix]
-			delete(set, p.Prefix)
-			return had
-		}
 		had := set[p.Prefix]
-		set[p.Prefix] = true
-		return !had
-	case netlink.RouteMsg:
-		key := p.Prefix.String()
-		if msg.Type == netlink.DelRoute {
-			_, had := s.routes[key]
-			delete(s.routes, key)
-			return had
+		if msg.Type == netlink.DelAddr {
+			delete(set, p.Prefix)
+			return had, had
 		}
-		old, had := s.routes[key]
-		s.routes[key] = p
-		return !had || old != p
+		set[p.Prefix] = true
+		return !had, !had
+	case netlink.RouteMsg:
+		old, had := s.routes[p.Prefix]
+		if msg.Type == netlink.DelRoute {
+			// A delete names the prefix only: the stored route knows its
+			// output interface.
+			if !had {
+				return false, false
+			}
+			delete(s.routes, p.Prefix)
+			return true, s.unroute(old.OutIf)
+		}
+		if had && old == p {
+			return false, false
+		}
+		s.routes[p.Prefix] = p
+		if had && old.OutIf == p.OutIf {
+			return true, false
+		}
+		topo = s.route(p.OutIf)
+		if had {
+			topo = s.unroute(old.OutIf) || topo
+		}
+		return true, topo
 	case netlink.RuleMsg:
 		old, had := s.chains[p.Chain]
 		s.chains[p.Chain] = p
-		return !had || old != p
+		changed = !had || old != p
+		return changed, changed && (p.Chain == chainForward || p.Chain == chainPostrouting)
 	case netlink.SetMsg:
+		// Sets are matched at run time through the kernel's own tables; a
+		// rule that uses one is already flagged on its chain.
 		if msg.Type == netlink.DelSet {
 			_, had := s.sets[p.Name]
 			delete(s.sets, p.Name)
-			return had
+			return had, false
 		}
 		old, had := s.sets[p.Name]
 		s.sets[p.Name] = p
-		return !had || old != p
+		return !had || old != p, false
 	case netlink.IPVSMsg:
-		key := fmt.Sprintf("%s:%d/%d", p.VIP, p.Port, p.Proto)
-		if p.Backends == 0 && p.Services == 0 {
-			_, had := s.ipvs[key]
-			delete(s.ipvs, key)
-			return had
-		}
+		key := ipvsKey{vip: p.VIP, port: p.Port, proto: p.Proto}
 		old, had := s.ipvs[key]
-		s.ipvs[key] = p
-		return !had || old != p
+		live := s.ipvsLive
+		if had && old.Backends > 0 {
+			live--
+		}
+		if p.Backends == 0 && p.Services == 0 {
+			delete(s.ipvs, key)
+			changed = had
+		} else {
+			s.ipvs[key] = p
+			changed = !had || old != p
+			if p.Backends > 0 {
+				live++
+			}
+		}
+		topo = live != s.ipvsLive
+		s.ipvsLive = live
+		return changed, topo
 	case netlink.SysctlMsg:
 		old, had := s.sysctl[p.Key]
 		s.sysctl[p.Key] = p.Value
-		return !had || old != p.Value
+		changed = !had || old != p.Value
+		return changed, changed && (p.Key == sysctlForward || p.Key == sysctlBrNF)
 	default:
+		return false, false
+	}
+}
+
+// route counts one more route out of ifindex and reports whether that
+// ifindex had none before.
+func (s *ObjectStore) route(ifindex int) bool {
+	s.routedOut[ifindex]++
+	return s.routedOut[ifindex] == 1
+}
+
+// unroute counts one route fewer out of ifindex and reports whether that was
+// its last.
+func (s *ObjectStore) unroute(ifindex int) bool {
+	if s.routedOut[ifindex]--; s.routedOut[ifindex] > 0 {
 		return false
 	}
+	delete(s.routedOut, ifindex)
+	return true
 }
 
 func linkEqual(a, b netlink.LinkMsg) bool {
@@ -134,6 +216,15 @@ func linkEqual(a, b netlink.LinkMsg) bool {
 	}
 }
 
+// TopoGen is the topology generation: it advances whenever Apply changes
+// something TopologyManager.Build reads, and only then. Build's result is a
+// function of the generation.
+func (s *ObjectStore) TopoGen() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.topoGen
+}
+
 // Links returns all known links sorted by ifindex.
 func (s *ObjectStore) Links() []netlink.LinkMsg {
 	s.mu.RLock()
@@ -142,7 +233,7 @@ func (s *ObjectStore) Links() []netlink.LinkMsg {
 	for _, l := range s.links {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
+	slices.SortFunc(out, func(a, b netlink.LinkMsg) int { return cmp.Compare(a.Index, b.Index) })
 	return out
 }
 
@@ -154,32 +245,23 @@ func (s *ObjectStore) Link(idx int) (netlink.LinkMsg, bool) {
 	return l, ok
 }
 
-// Addrs returns the addresses on one interface.
-func (s *ObjectStore) Addrs(idx int) []packet.Prefix {
+// HasAddr reports whether an interface has at least one address.
+func (s *ObjectStore) HasAddr(idx int) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []packet.Prefix
-	for p := range s.addrs[idx] {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
+	return len(s.addrs[idx]) > 0
 }
 
-// Routes returns all known routes sorted by prefix.
-func (s *ObjectStore) Routes() []netlink.RouteMsg {
+// RoutedOut returns the ifindexes that at least one route leaves through,
+// in ascending order.
+func (s *ObjectStore) RoutedOut() []int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]netlink.RouteMsg, 0, len(s.routes))
-	for _, r := range s.routes {
-		out = append(out, r)
+	out := make([]int, 0, len(s.routedOut))
+	for idx := range s.routedOut {
+		out = append(out, idx)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prefix.Addr != out[j].Prefix.Addr {
-			return out[i].Prefix.Addr < out[j].Prefix.Addr
-		}
-		return out[i].Prefix.Bits < out[j].Prefix.Bits
-	})
+	slices.Sort(out)
 	return out
 }
 
@@ -202,11 +284,5 @@ func (s *ObjectStore) Sysctl(key string) string {
 func (s *ObjectStore) IPVSServiceCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for _, m := range s.ipvs {
-		if m.Backends > 0 {
-			n++
-		}
-	}
-	return n
+	return s.ipvsLive
 }

@@ -38,18 +38,20 @@ const (
 	NewIPVS // ipvs service/backend change (genl ipvs channel)
 )
 
+// msgNames is indexed by MsgType.
+var msgNames = [...]string{
+	NewLink: "RTM_NEWLINK", DelLink: "RTM_DELLINK",
+	NewAddr: "RTM_NEWADDR", DelAddr: "RTM_DELADDR",
+	NewRoute: "RTM_NEWROUTE", DelRoute: "RTM_DELROUTE",
+	NewNeigh: "RTM_NEWNEIGH", DelNeigh: "RTM_DELNEIGH",
+	NewRule: "IPT_NEWRULE", DelRule: "IPT_DELRULE",
+	NewSet: "IPSET_NEW", DelSet: "IPSET_DEL",
+	SysctlChange: "SYSCTL_CHANGE", NewIPVS: "IPVS_NEW",
+}
+
 func (t MsgType) String() string {
-	names := map[MsgType]string{
-		NewLink: "RTM_NEWLINK", DelLink: "RTM_DELLINK",
-		NewAddr: "RTM_NEWADDR", DelAddr: "RTM_DELADDR",
-		NewRoute: "RTM_NEWROUTE", DelRoute: "RTM_DELROUTE",
-		NewNeigh: "RTM_NEWNEIGH", DelNeigh: "RTM_DELNEIGH",
-		NewRule: "IPT_NEWRULE", DelRule: "IPT_DELRULE",
-		NewSet: "IPSET_NEW", DelSet: "IPSET_DEL",
-		SysctlChange: "SYSCTL_CHANGE", NewIPVS: "IPVS_NEW",
-	}
-	if n, ok := names[t]; ok {
-		return n
+	if t > 0 && int(t) < len(msgNames) {
+		return msgNames[t]
 	}
 	return fmt.Sprintf("msg(%d)", int(t))
 }

@@ -1,6 +1,7 @@
 package netlink
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -41,6 +42,30 @@ func TestGroupOfCoversAllTypes(t *testing.T) {
 	}
 	if GroupOf(MsgType(999)) != 0 {
 		t.Error("unknown type should have no group")
+	}
+}
+
+// TestMsgTypeNames pins every message type's name, which reactions carry as
+// their trigger, and the fallback for a type without one.
+func TestMsgTypeNames(t *testing.T) {
+	want := map[MsgType]string{
+		NewLink: "RTM_NEWLINK", DelLink: "RTM_DELLINK",
+		NewAddr: "RTM_NEWADDR", DelAddr: "RTM_DELADDR",
+		NewRoute: "RTM_NEWROUTE", DelRoute: "RTM_DELROUTE",
+		NewNeigh: "RTM_NEWNEIGH", DelNeigh: "RTM_DELNEIGH",
+		NewRule: "IPT_NEWRULE", DelRule: "IPT_DELRULE",
+		NewSet: "IPSET_NEW", DelSet: "IPSET_DEL",
+		SysctlChange: "SYSCTL_CHANGE", NewIPVS: "IPVS_NEW",
+	}
+	for typ := NewLink; typ <= NewIPVS; typ++ {
+		if got := typ.String(); got != want[typ] {
+			t.Errorf("MsgType(%d).String() = %q, want %q", int(typ), got, want[typ])
+		}
+	}
+	for _, typ := range []MsgType{0, -1, NewIPVS + 1, 999} {
+		if got, want := typ.String(), fmt.Sprintf("msg(%d)", int(typ)); got != want {
+			t.Errorf("unknown type: got %q, want %q", got, want)
+		}
 	}
 }
 
